@@ -39,7 +39,7 @@ import numpy as np
 from .harmonics import (definetti_eps, harmonic_decompose, integrate_poly,
                         lambda_coeff, moment_table, sphere_moment_vector,
                         surface_area)
-from .multiindex import basis_catalog, sym_dimension
+from .multiindex import basis_catalog, catalog_rank, sym_dimension
 from .oracle import _restart_rng, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, _vec_scale, evaluate,
                       partial_trace_sym, poly_to_vector, vector_to_poly)
@@ -91,13 +91,8 @@ def measure_density(M, psd_tol=1e-7):
 @lru_cache(maxsize=None)
 def _sum_index_map(n, d1, d2):
     """Positions in catalog(n, d1 + d2) of every exponent sum, (m1, m2)."""
-    c1 = basis_catalog(n, d1)
-    c2 = basis_catalog(n, d2)
-    c12 = basis_catalog(n, d1 + d2)
-    out = np.empty((len(c1), len(c2)), dtype=np.int64)
-    for i, mi in enumerate(c1.indices):
-        for j, mj in enumerate(c2.indices):
-            out[i, j] = c12.position[mi + mj]
+    out = catalog_rank(basis_catalog(n, d1).expmat[:, None, :],
+                       basis_catalog(n, d2).expmat[None, :, :])
     out.setflags(write=False)
     return out
 

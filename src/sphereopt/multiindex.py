@@ -162,6 +162,36 @@ def basis_catalog(n, degree):
                         position=position, expmat=expmat)
 
 
+def catalog_rank(*exponents):
+    """Catalog positions of summed exponent rows, in closed form.
+
+    Each operand is an integer array whose last axis holds n exponents;
+    the operands broadcast against each other and their sum must be a
+    valid multi-index.  The result, of the broadcast shape without the
+    last axis, is the position of that sum in its ``basis_catalog``:
+
+        rank(e) = sum_{t=1}^{n-1} C(r_t + m_t - 1, m_t),
+        r_t = e_{t+1} + ... + e_n,  m_t = n - t,
+
+    which counts the catalog members whose first difference from e is a
+    larger exponent.  The sum is accumulated slot by slot from the
+    operands' suffix sums, so no broadcast exponent array is formed.
+    """
+    ops = [np.asarray(e, dtype=np.int64) for e in exponents]
+    n = ops[0].shape[-1]
+    # suffix[..., t] = e_{t+1} + ... + e_n for the slots t that carry a term
+    suffix = [np.cumsum(e[..., :0:-1], axis=-1)[..., ::-1] for e in ops]
+    rank = np.zeros(np.broadcast_shapes(*(e.shape[:-1] for e in ops)),
+                    dtype=np.int64)
+    top = sum(int(s.max(initial=0)) for s in suffix)
+    table = np.array([[math.comb(r + n - 2 - t, n - 1 - t)
+                       for r in range(top + 1)] for t in range(n - 1)],
+                     dtype=np.int64)
+    for t in range(n - 1):
+        rank += table[t][sum(s[..., t] for s in suffix)]
+    return rank
+
+
 def _log_binom(a, b):
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 

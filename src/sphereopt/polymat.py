@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MultiIndex, basis_catalog, sym_dimension
+from .multiindex import (MultiIndex, basis_catalog, catalog_rank,
+                         sym_dimension)
 
 
 @dataclass(frozen=True)
@@ -226,24 +227,16 @@ def _pair_maps(n, level):
     the split overlap <i (x) j | i + j>, and tau the vector with
     tr M = tau . vec for every maximally symmetric M.
     """
-    cat = basis_catalog(n, level)
-    cat2 = basis_catalog(n, 2 * level)
-    E = cat.expmat
-    p = len(cat)
+    E = basis_catalog(n, level).expmat
     top = max(2 * level, 1)
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, top + 1)))))
     A = E[:, None, :] + E[None, :, :]
     lbin = lf[A] - lf[E[:, None, :]] - lf[E[None, :, :]]
     ltot = lf[2 * level] - 2.0 * lf[level]
     WW = np.exp(0.5 * (lbin.sum(axis=-1) - ltot))
-    KK = np.empty((p, p), dtype=np.int64)
-    for i in range(p):
-        for j in range(i, p):
-            pos = cat2.position[MultiIndex(A[i, j])]
-            KK[i, j] = pos
-            KK[j, i] = pos
+    KK = catalog_rank(E[:, None, :], E[None, :, :])
     tau = np.bincount(KK.diagonal(), weights=WW.diagonal(),
-                      minlength=len(cat2))
+                      minlength=sym_dimension(n, 2 * level))
     for arr in (KK, WW, tau):
         arr.setflags(write=False)
     return KK, WW, tau
@@ -354,21 +347,14 @@ def laplacian(T):
 @lru_cache(maxsize=None)
 def _trace_maps(n, level):
     """Per-variable gather maps for the single-system partial trace."""
-    cat = basis_catalog(n, level)
-    cat1 = basis_catalog(n, level - 1)
+    E = basis_catalog(n, level).expmat
+    drop = -np.eye(n, dtype=np.int64)
     maps = []
     for t in range(n):
-        src, dst, wts = [], [], []
-        for pos, mi in enumerate(cat.indices):
-            e = mi[t]
-            if e > 0:
-                src.append(pos)
-                dst.append(cat1.position[mi.shifted(t, -1)])
-                wts.append(math.sqrt(e))
-        maps.append((np.array(src, dtype=np.int64),
-                     np.array(dst, dtype=np.int64),
-                     np.array(wts)))
-    return tuple(maps), len(cat1)
+        src = np.flatnonzero(E[:, t] > 0).astype(np.int64)
+        maps.append((src, catalog_rank(E[src], drop[t]),
+                     np.sqrt(E[src, t].astype(float))))
+    return tuple(maps), sym_dimension(n, level - 1)
 
 
 def partial_trace_matrix(A, n, level):

@@ -212,6 +212,7 @@ def _certificate_level():
     return 19
 
 
+@pytest.mark.slow
 def test_05_high_level_two_sided_certificates(capsys):
     # at a level deep enough for the a priori guarantee, the measure
     # lower bound and the relaxation value must sandwich the search value

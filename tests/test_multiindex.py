@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.multiindex import (MultiIndex, basis_catalog,
+from sphereopt.definetti import _sum_index_map
+from sphereopt.multiindex import (MultiIndex, basis_catalog, catalog_rank,
                                   dense_number_state, dense_symmetrizer,
                                   enumerate_multiindices, number_state_overlap,
                                   sym_dimension)
+from sphereopt.polymat import _pair_maps, _trace_maps
 
 
 def test_multiindex_basics():
@@ -66,6 +68,65 @@ def test_basis_catalog_positions_roundtrip():
         assert cat.position[mi] == pos
         assert tuple(cat.expmat[pos]) == mi.exponents
     assert cat.expmat.sum(axis=1).tolist() == [4] * len(cat.indices)
+
+
+def test_catalog_rank_matches_catalog_positions():
+    for n in range(1, 7):
+        for d in range(9):
+            cat = basis_catalog(n, d)
+            expect = np.array([cat.position[mi] for mi in cat.indices])
+            got = catalog_rank(cat.expmat)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect)
+            # a split into two operands ranks the same rows
+            half = cat.expmat // 2
+            assert np.array_equal(catalog_rank(half, cat.expmat - half),
+                                  expect)
+
+
+def test_catalog_rank_keeps_broadcast_shape_without_slots_to_rank():
+    got = catalog_rank(np.ones((3, 1, 1)), np.ones((1, 4, 1)))
+    assert got.shape == (3, 4)
+    assert got.dtype == np.int64
+    assert not got.any()
+    assert catalog_rank(np.ones((2, 3))).shape == (2,)
+    assert catalog_rank(np.zeros((0, 5))).shape == (0,)
+
+
+def _reference_sum_map(n, d1, d2):
+    # dict lookups of every exponent sum, as the catalog itself stores them
+    position = {mi.exponents: pos
+                for mi, pos in basis_catalog(n, d1 + d2).position.items()}
+    E2 = basis_catalog(n, d2).expmat
+    return np.array([[position[tuple(row)] for row in (e + E2).tolist()]
+                     for e in basis_catalog(n, d1).expmat], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, d1, d2", [(1, 3, 4), (2, 0, 6), (10, 4, 4),
+                                       (3, 4, 38)])
+def test_sum_index_map_matches_dict_lookup(n, d1, d2):
+    got = _sum_index_map(n, d1, d2)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_sum_map(n, d1, d2))
+
+
+@pytest.mark.parametrize("n, level", [(3, 19), (2, 20), (10, 2)])
+def test_pair_and_trace_maps_match_dict_lookup(n, level):
+    KK = _pair_maps(n, level)[0]
+    assert KK.dtype == np.int64
+    assert np.array_equal(KK, _reference_sum_map(n, level, level))
+    cat = basis_catalog(n, level)
+    below = basis_catalog(n, level - 1)
+    maps, size = _trace_maps(n, level)
+    assert size == len(below)
+    for t, (src, dst, wts) in enumerate(maps):
+        rows = [pos for pos, mi in enumerate(cat.indices) if mi[t] > 0]
+        assert src.dtype == dst.dtype == np.int64
+        assert np.array_equal(src, rows)
+        assert np.array_equal(dst, [below.position[cat.indices[r].shifted(
+            t, -1)] for r in rows])
+        assert np.array_equal(wts, [math.sqrt(cat.indices[r][t])
+                                    for r in rows])
 
 
 def test_number_state_overlap_small_values():

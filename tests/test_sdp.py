@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import evaluate, homo_poly, r2k_poly, vector_to_poly
@@ -145,6 +146,30 @@ def test_schur_matrix_matches_direct_basis_contraction():
     direct = np.array([[float(np.sum(Bk * (Y @ Bm @ Y))) for Bm in basis]
                        for Bk in basis])
     assert np.allclose(S, direct, atol=1e-10)
+
+
+def test_schur_matrix_chunks_match_direct_contraction(monkeypatch):
+    # p = 136, q = 496: the assembly runs in several chunks of classes.
+    prob = build_relaxation(_random_poly(3, 4, 7), 15)
+    seen = []
+
+    def spy(problem, Y):
+        seen.append(Y)
+        return _schur_matrix(problem, Y)
+
+    # the scaling of a few solver iterations spreads diag(S) over decades
+    monkeypatch.setattr(sdp_module, "_schur_matrix", spy)
+    solve_sdp(prob, max_iterations=5)
+    Y = seen[-1]
+    S = _schur_matrix(prob, Y)
+    direct = np.empty_like(S)
+    for k in range(prob.q):
+        e = np.zeros(prob.q)
+        e[k] = 1.0
+        direct[k] = prob.project(Y @ prob.moment_matrix(e) @ Y)
+    scale = np.sqrt(np.outer(np.diag(direct), np.diag(direct)))
+    assert scale.max() / scale.min() > 1e5
+    assert np.all(np.abs(S - direct) <= 1e-13 * scale)
 
 
 def test_solve_quadratic_matches_eigenvalue():
