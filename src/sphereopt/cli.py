@@ -20,7 +20,7 @@ import json
 import re
 import sys
 
-from .definetti import measure_density, solve_and_report
+from .definetti import solve_and_report
 from .harmonics import definetti_eps
 from .multiindex import sym_dimension
 from .oracle import sphere_maximize
@@ -318,7 +318,7 @@ def _parse_level_spec(spec, a):
     return list(range(lo, hi + 1))
 
 
-def _report_payload(report, record, oracle_result, certificate, density):
+def _report_payload(report, record, oracle_result, certificate):
     payload = {
         "n": report.n,
         "degree": report.degree,
@@ -335,7 +335,7 @@ def _report_payload(report, record, oracle_result, certificate, density):
         "gamma": record.gamma,
         # the probability density certifying nu_lower, in the solved
         # (possibly lifted) variables
-        "density": None if density is None else _poly_terms_json(density.poly),
+        "density": _poly_terms_json(report.density.poly),
     }
     if oracle_result is None:
         payload["oracle_value"] = None
@@ -446,12 +446,8 @@ def run(args, out=None, err=None):
             certificate = None
             if args.certificate and solution.status == STATUS_OPTIMAL:
                 certificate = extract_sos_certificate(solution)
-            try:
-                density = measure_density(solution.M_star, psd_tol=1e-6)
-            except ValueError:
-                density = None
             payload = _report_payload(report, record, oracle_result,
-                                      certificate, density)
+                                      certificate)
             blocks.append((payload, certificate))
             if solution.status != STATUS_OPTIMAL:
                 code = EXIT_SOLVER

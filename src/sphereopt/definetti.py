@@ -171,7 +171,8 @@ class BoundsReport:
     under the explicitly constructed measure.  ``eps`` is
     the a priori relative-error bound for this level (meaningful only when
     ``eps_valid``); ``oracle_value`` is an optional heuristic search value
-    for comparison and is not part of the certificate.
+    for comparison and is not part of the certificate.  ``density`` is the
+    measure that certifies ``nu_lower``, in the solved variables.
     """
 
     n: int
@@ -186,6 +187,8 @@ class BoundsReport:
     iterations: int
     tol: float
     oracle_value: float | None = None
+    density: SphereMeasureDensity | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     @property
     def width(self):
@@ -206,14 +209,17 @@ def solve_and_report(T, level, tol=1e-8, max_iterations=100, max_p=None):
     a = problem.a
     # Interior-point iterates stay strictly feasible, so the optimizer is
     # a valid state even when the solve stops early.
-    nu_tilde = lower_bound(T, solution.M_star, psd_tol=1e-6)
+    density = measure_density(solution.M_star, psd_tol=1e-6)
+    nu_tilde = float(poly_to_vector(T)
+                     @ moment_matrix_of_density(density, a).vec)
     eps = definetti_eps(a, level, T.n)
     report = BoundsReport(n=T.n, degree=T.degree, level=level,
                           nu_upper=solution.t_star, nu_lower=nu_tilde,
                           eps=eps.value, eps_valid=eps.valid,
                           duality_gap=solution.duality_gap,
                           status=solution.status,
-                          iterations=solution.iterations, tol=tol)
+                          iterations=solution.iterations, tol=tol,
+                          density=density)
     return report, solution
 
 

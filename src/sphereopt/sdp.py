@@ -35,8 +35,10 @@ this problem class:
   S[k, m] = tr(B_k Y B_m Y), Y the inverse scaling point, with a dense
   Cholesky.  The structural basis matrices B_k partition the p x p entry
   grid (entry (i, j) belongs to class i + j alone), so row k of S is the
-  class-wise projection of Y B_k Y and the whole assembly runs in streamed
-  chunks at 2 q p^3 flops without materializing any (q, p, p) tensor;
+  class-wise projection of Y B_k Y.  Y B_k is gathered from weighted
+  columns of Y, which leaves one dense product per class: q p^3 flops,
+  streamed in cache-sized blocks of classes, bitwise equal to the
+  product with the dense B_k;
 * the trace constraint is kept as an explicit equality and eliminated
   through the Schur solve.
 
@@ -89,15 +91,21 @@ def resolve_max_p(max_p=None):
 
 
 def resolve_cond_ratio(min_ratio=None):
+    """Conditioning floor: a finite ratio >= 0, where 0 means no floor."""
     if min_ratio is not None:
-        return float(min_ratio)
-    env = os.environ.get(COND_RATIO_ENV)
-    if env:
+        name, ratio = "min_cond_ratio", float(min_ratio)
+    else:
+        env = os.environ.get(COND_RATIO_ENV)
+        if not env:
+            return DEFAULT_MIN_COND_RATIO
+        name = COND_RATIO_ENV
         try:
-            return float(env)
+            ratio = float(env)
         except ValueError:
             raise ValueError(f"{COND_RATIO_ENV} must be a number, got {env!r}")
-    return DEFAULT_MIN_COND_RATIO
+    if not 0.0 <= ratio < np.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {ratio!r}")
+    return ratio
 
 
 @lru_cache(maxsize=None)
@@ -148,12 +156,13 @@ class SdpProblem:
                            minlength=self.q)
 
     def pair_structure(self):
-        """Entry classes sorted for streamed assembly.
+        """Entry classes sorted for the streamed Schur assembly.
 
-        Returns (wflat, order, starts): flattened entry weights, the
-        stable ordering of flattened entries by class, and the q segment
-        starts of that ordering.  Every class is nonempty (any multi-index
-        of degree 2l splits into two of degree l).
+        Returns (order, starts, rows, cols, weights): the stable ordering
+        of flattened p x p entries by class, the q segment starts of that
+        ordering, and the row, column and weight of every entry in that
+        order.  Every class is nonempty (any multi-index of degree 2l
+        splits into two of degree l).
         """
         got = self._cache.get("pairs")
         if got is None:
@@ -161,7 +170,8 @@ class SdpProblem:
             kflat = KK.ravel()
             order = np.argsort(kflat, kind="stable")
             starts = np.searchsorted(kflat[order], np.arange(self.q))
-            got = (WW.ravel(), order, starts)
+            rows, cols = np.divmod(order, self.p)
+            got = (order, starts, rows, cols, WW.ravel()[order])
             self._cache["pairs"] = got
         return got
 
@@ -287,28 +297,33 @@ def _max_step(d, delta_hat):
 def _schur_matrix(problem, Y):
     """Dense Schur complement S[k, m] = tr(B_k Y B_m Y), streamed.
 
-    Row k is the class projection of Y B_k Y; chunks of the
-    one-class-per-entry basis are rebuilt on the fly, so peak memory stays
-    at a few chunk-sized buffers however large q grows.
+    Column j of B_k holds at most one nonzero, w_ij at the row i whose
+    class i + j is k, so Y B_k is gathered as the columns w_ij Y[:, i]
+    instead of multiplied out.  Each of those entries is a BLAS sum with a
+    single nonzero term, which makes the gathered Y B_k bitwise equal to
+    the dense product on any BLAS; the one dense product per class,
+    (Y B_k) Y, the class-wise reduction of its weighted entries and the
+    final symmetrization are those of the dense formulation, so S does not
+    change in a single bit.  Classes stream in blocks of at most 2^16
+    p x p entries (512 KB per buffer) to keep the working set in cache;
+    the assembly costs q p^3 flops.
     """
     p, q = problem.p, problem.q
-    wflat, order, starts = problem.pair_structure()
-    wsorted = wflat[order]
+    order, starts, rows, cols, weights = problem.pair_structure()
     bounds = np.append(starts, p * p)
     counts = np.diff(bounds)
-    chunk = max(4, min(q, 1 + 4_000_000 // (p * p)))
+    block = max(1, min(q, 2**16 // (p * p)))
     S = np.empty((q, q))
-    for k0 in range(0, q, chunk):
-        k1 = min(k0 + chunk, q)
+    for k0 in range(0, q, block):
+        k1 = min(k0 + block, q)
         nc = k1 - k0
         lo, hi = bounds[k0], bounds[k1]
-        B = np.zeros((nc, p * p))
-        rows = np.repeat(np.arange(nc), counts[k0:k1])
-        B[rows, order[lo:hi]] = wsorted[lo:hi]
-        G = np.matmul(np.matmul(Y, B.reshape(nc, p, p)), Y)
-        flat = G.reshape(nc, p * p) * wflat
-        S[k0:k1, :] = np.add.reduceat(flat.take(order, axis=1),
-                                      starts, axis=1)
+        YB = np.zeros((nc, p, p))
+        local = np.repeat(np.arange(nc), counts[k0:k1])
+        YB[local, :, cols[lo:hi]] = Y.T[rows[lo:hi]] * weights[lo:hi, None]
+        G = np.matmul(YB, Y).reshape(nc, p * p).take(order, axis=1)
+        G *= weights
+        S[k0:k1, :] = np.add.reduceat(G, starts, axis=1)
     return (S + S.T) / 2.0
 
 

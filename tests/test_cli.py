@@ -252,6 +252,19 @@ def test_exit_code_on_resource_guard(monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_exit_code_on_bad_conditioning_floor(monkeypatch, value):
+    monkeypatch.setenv("SPHEREOPT_COND_RATIO", value)
+    # automatic level: the floor is read while choosing the level
+    code, out, err = _run(["--poly", "x1^2*x2^2"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "SPHEREOPT_COND_RATIO" in err
+    code, _, err = _run(["--poly", "x1^2*x2^2", "--level", "2"])
+    assert code == EXIT_INPUT
+    assert "SPHEREOPT_COND_RATIO" in err
+
+
 def test_exit_code_when_budget_too_small():
     code, out, _ = _run(["--poly", "x1^2*x2^2 + 0.3*x1*x2^3", "--level", "2",
                          "--max-iterations", "1", "--format", "json"])

@@ -4,7 +4,8 @@ import pytest
 import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import evaluate, homo_poly, r2k_poly, vector_to_poly
+from sphereopt.polymat import (_pair_maps, evaluate, homo_poly, r2k_poly,
+                               vector_to_poly)
 from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError,
                            SolverError, STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation,
@@ -80,6 +81,22 @@ def test_conditioning_guard(monkeypatch):
     monkeypatch.setenv(COND_RATIO_ENV, "abc")
     with pytest.raises(ValueError):
         resolve_cond_ratio()
+    monkeypatch.setenv(COND_RATIO_ENV, "0")
+    assert build_relaxation(T, 30).p == 31  # zero switches the floor off
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_conditioning_floor_rejects_non_finite_and_negative(monkeypatch,
+                                                            value):
+    # nan would compare False against every ratio and silently drop the
+    # floor; reject it, like inf and negative floors, by name
+    T = _random_poly(2, 4, 5)
+    monkeypatch.setenv(COND_RATIO_ENV, value)
+    with pytest.raises(ValueError, match=COND_RATIO_ENV):
+        build_relaxation(T, 20)
+    monkeypatch.delenv(COND_RATIO_ENV)
+    with pytest.raises(ValueError, match="min_cond_ratio"):
+        build_relaxation(T, 20, min_cond_ratio=float(value))
 
 
 def test_uniform_conditioning_decays_exponentially():
@@ -149,7 +166,7 @@ def test_schur_matrix_matches_direct_basis_contraction():
 
 
 def test_schur_matrix_chunks_match_direct_contraction(monkeypatch):
-    # p = 136, q = 496: the assembly runs in several chunks of classes.
+    # p = 136, q = 496: the assembly streams blocks of 3 classes.
     prob = build_relaxation(_random_poly(3, 4, 7), 15)
     seen = []
 
@@ -170,6 +187,60 @@ def test_schur_matrix_chunks_match_direct_contraction(monkeypatch):
     scale = np.sqrt(np.outer(np.diag(direct), np.diag(direct)))
     assert scale.max() / scale.min() > 1e5
     assert np.all(np.abs(S - direct) <= 1e-13 * scale)
+
+
+def _dense_basis_schur(problem, Y):
+    # The assembly before the column gather: the 0/1 class matrices B_k
+    # built densely in chunks and two GEMMs per chunk.
+    p, q = problem.p, problem.q
+    KK, WW, _ = _pair_maps(problem.n, problem.ell)
+    kflat = KK.ravel()
+    order = np.argsort(kflat, kind="stable")
+    starts = np.searchsorted(kflat[order], np.arange(q))
+    wflat = WW.ravel()
+    wsorted = wflat[order]
+    bounds = np.append(starts, p * p)
+    counts = np.diff(bounds)
+    chunk = max(4, min(q, 1 + 4_000_000 // (p * p)))
+    S = np.empty((q, q))
+    for k0 in range(0, q, chunk):
+        k1 = min(k0 + chunk, q)
+        nc = k1 - k0
+        lo, hi = bounds[k0], bounds[k1]
+        B = np.zeros((nc, p * p))
+        rows = np.repeat(np.arange(nc), counts[k0:k1])
+        B[rows, order[lo:hi]] = wsorted[lo:hi]
+        G = np.matmul(np.matmul(Y, B.reshape(nc, p, p)), Y)
+        flat = G.reshape(nc, p * p) * wflat
+        S[k0:k1, :] = np.add.reduceat(flat.take(order, axis=1),
+                                      starts, axis=1)
+    return (S + S.T) / 2.0
+
+
+@pytest.mark.parametrize("n, degree, level", [
+    (3, 4, 15),  # p = 136: 3 classes per block, ragged last block
+    (10, 4, 2),  # p = 55: many classes per block
+    (6, 4, 3),
+    (2, 4, 20),  # p = 21: a single block
+    (3, 6, 3),   # degree 6
+])
+def test_schur_matrix_bitwise_equals_dense_basis_assembly(monkeypatch, n,
+                                                          degree, level):
+    # Every iterate depends on the bits of S; the gathered Y B_k must
+    # reproduce the dense product exactly on every Y a solve produces.
+    prob = build_relaxation(_random_poly(n, degree, 7), level)
+    seen = []
+
+    def spy(problem, Y):
+        seen.append(Y)
+        return _schur_matrix(problem, Y)
+
+    monkeypatch.setattr(sdp_module, "_schur_matrix", spy)
+    solve_sdp(prob)
+    assert len(seen) >= 5
+    for Y in seen:
+        assert np.array_equal(_schur_matrix(prob, Y),
+                              _dense_basis_schur(prob, Y))
 
 
 def test_solve_quadratic_matches_eigenvalue():
