@@ -16,8 +16,8 @@ from .definetti import (BoundsReport, SphereMeasureDensity, TraceCheck,
                         moment_matrix_of_density, p_from_q_coefficients,
                         product_state_vec, random_msym_state,
                         random_product_mixture, reduced_state,
-                        sandwich_report, solve_and_report,
-                        state_from_harmonic_density, trace_distance)
+                        solve_and_report, state_from_harmonic_density,
+                        trace_distance)
 from .harmonics import (EpsBound, definetti_eps, funk_hecke_residual,
                         gegenbauer_eval, harmonic_count, harmonic_decompose,
                         HarmonicDecomposition, integrate_poly, lambda_coeff,
@@ -29,9 +29,9 @@ from .multiindex import (MultiIndex, basis_catalog, enumerate_multiindices,
 from .oracle import (OracleResult, mc_sphere_integral,
                      mc_sphere_integral_poly, sphere_maximize)
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
-                      laplacian, matrix_to_poly, multiply_r2,
-                      partial_trace_sym, poly_to_maxsym_matrix,
-                      poly_to_vector, r2k_poly, vector_to_poly)
+                      laplacian, multiply_r2, partial_trace_sym,
+                      poly_to_maxsym_matrix, poly_to_vector, r2k_poly,
+                      vector_to_poly)
 from .reduction import (ReductionRecord, canonicalize, gamma_factor,
                         homogenize_terms, lift_odd, pullback_bounds)
 from .sdp import (DEFAULT_MAX_P, DEFAULT_MIN_COND_RATIO, ResourceGuardError,
@@ -56,14 +56,14 @@ __all__ = [
     "funk_hecke_residual", "gamma_factor", "gegenbauer_eval", "gradient",
     "harmonic_count", "harmonic_decompose", "homo_poly", "homogenize_terms",
     "integrate_poly", "lambda_coeff", "lambda_ratio", "laplacian",
-    "lift_odd", "lower_bound", "matrix_to_poly", "mc_sphere_integral",
+    "lift_odd", "lower_bound", "mc_sphere_integral",
     "mc_sphere_integral_poly", "measure_density",
     "moment_matrix_of_density", "moment_table", "multiply_r2",
     "p_from_q_coefficients", "partial_trace_sym", "poly_to_maxsym_matrix",
     "poly_to_vector", "product_state_vec", "pullback_bounds", "r2k_poly",
     "random_msym_state", "random_product_mixture",
     "ratio_gap_bounds", "reduced_state",
-    "sandwich_report", "solve_and_report", "solve_sdp",
+    "solve_and_report", "solve_sdp",
     "sphere_maximize", "sphere_moment_vector", "sphere_monomial_moment",
     "state_from_harmonic_density", "surface_area", "sym_dimension",
     "trace_distance", "uniform_conditioning", "vector_to_poly",

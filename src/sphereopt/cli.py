@@ -26,8 +26,9 @@ from .multiindex import sym_dimension
 from .oracle import sphere_maximize
 from .reduction import canonicalize, pullback_bounds
 from .sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError, SolverError,
-                  STATUS_OPTIMAL, build_relaxation, extract_sos_certificate,
-                  resolve_cond_ratio, resolve_max_p, uniform_conditioning)
+                  STATUS_OPTIMAL, build_relaxation, check_solve_options,
+                  extract_sos_certificate, resolve_cond_ratio, resolve_max_p,
+                  uniform_conditioning)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -391,6 +392,11 @@ def run(args, out=None, err=None):
     err = err if err is not None else sys.stderr
 
     try:
+        # malformed settings fail before any input is read or solved
+        check_solve_options(args.tol, args.max_iterations)
+        if args.oracle and args.restarts < 1:
+            raise ValueError(
+                f"--restarts must be at least 1, got {args.restarts}")
         if args.poly is not None:
             n, terms = parse_poly(args.poly, args.n)
         else:

@@ -24,7 +24,7 @@ g(j) = j((j + n)/2 - 1) / (2l + n):
 
 Averaging the objective itself against rho_M gives a certified lower
 bound on its sphere maximum that complements the relaxation's upper
-bound; :func:`sandwich_report` packages the pair.
+bound; :func:`solve_and_report` computes the pair.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .harmonics import (definetti_eps, harmonic_decompose, integrate_poly,
                         surface_area)
 from .multiindex import basis_catalog, catalog_rank, sym_dimension
 from .oracle import _restart_rng, sphere_maximize
-from .polymat import (HomoPoly, MaxSymMatrix, _vec_scale, evaluate,
-                      partial_trace_sym, poly_to_vector, vector_to_poly)
+from .polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs, _vec_scale,
+                      evaluate, partial_trace_sym, poly_to_vector,
+                      vector_to_poly)
 from .sdp import build_relaxation, solve_sdp
 
 
@@ -91,18 +92,10 @@ def measure_density(M, psd_tol=1e-7):
 @lru_cache(maxsize=None)
 def _sum_index_map(n, d1, d2):
     """Positions in catalog(n, d1 + d2) of every exponent sum, (m1, m2)."""
-    out = catalog_rank(basis_catalog(n, d1).expmat[:, None, :],
-                       basis_catalog(n, d2).expmat[None, :, :])
+    out = catalog_rank(basis_catalog(n, d1)[:, None, :],
+                       basis_catalog(n, d2)[None, :, :])
     out.setflags(write=False)
     return out
-
-
-def _dense_coeffs(T):
-    cat = basis_catalog(T.n, T.degree)
-    v = np.zeros(len(cat))
-    for mi, a in T.coeffs.items():
-        v[cat.position[mi]] = a
-    return v
 
 
 def _weighted_moment_vector(n, degree, parts):
@@ -114,7 +107,7 @@ def _weighted_moment_vector(n, degree, parts):
             continue
         S = _sum_index_map(n, degree, g.degree)
         mom = moment_table(n, degree + g.degree)
-        v += mom[S] @ _dense_coeffs(g)
+        v += mom[S] @ _catalog_coeffs(g)
     return _vec_scale(n, degree) * v
 
 
@@ -223,13 +216,6 @@ def solve_and_report(T, level, tol=1e-8, max_iterations=100, max_p=None):
     return report, solution
 
 
-def sandwich_report(T, level, tol=1e-8, max_iterations=100, max_p=None):
-    """Two-sided bounds for max T on the sphere at one relaxation level."""
-    report, _ = solve_and_report(T, level, tol=tol,
-                                 max_iterations=max_iterations, max_p=max_p)
-    return report
-
-
 def trace_distance(A, B):
     """Half the sum of absolute eigenvalues of the difference."""
     Am = A.matrix if isinstance(A, MaxSymMatrix) else np.asarray(A)
@@ -330,8 +316,7 @@ def product_state_vec(x, level):
     """Coordinates of the rank-one state |x><x|^{(x)level}, unit |x|."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    cat = basis_catalog(n, 2 * level)
-    mono = np.prod(x[None, :] ** cat.expmat, axis=1)
+    mono = np.prod(x[None, :] ** basis_catalog(n, 2 * level), axis=1)
     return _vec_scale(n, 2 * level) * mono
 
 

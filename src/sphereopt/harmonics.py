@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import MultiIndex, basis_catalog
+from .multiindex import MultiIndex, basis_catalog, enumerate_multiindices
 from .polymat import HomoPoly, laplacian, multiply_r2
 
 
@@ -194,8 +194,8 @@ def sphere_monomial_moment(exponents):
 @lru_cache(maxsize=None)
 def moment_table(n, degree):
     """Moments of every degree-``degree`` monomial, in catalog order."""
-    cat = basis_catalog(n, degree)
-    out = np.array([_moment_cached(n, mi.exponents) for mi in cat.indices])
+    out = np.array([_moment_cached(n, tuple(row))
+                    for row in basis_catalog(n, degree).tolist()])
     out.setflags(write=False)
     return out
 
@@ -294,10 +294,9 @@ def funk_hecke_residual(f, level, y):
         lap = laplacian(f)
         if lap.max_abs_coeff() > 1e-9 * max(1.0, f.max_abs_coeff()):
             raise ValueError("input polynomial is not harmonic")
-    cat = basis_catalog(n, 2 * level)
     lhs = 0.0
     log_fact = math.lgamma(2 * level + 1)
-    for mi in cat.indices:
+    for mi in enumerate_multiindices(n, 2 * level):
         multinom = math.exp(log_fact - sum(math.lgamma(e + 1) for e in mi))
         ypow = float(np.prod(yv ** np.array(mi.exponents)))
         if ypow == 0.0:

@@ -6,6 +6,11 @@ symmetrization |i> of the product vector e_1^{(x)i_1} (x) ... (x) e_n^{(x)i_n}
 in (R^n)^{(x)l}.  The vectors |i> form an orthonormal basis of the symmetric
 subspace Sym((R^n)^{(x)l}), whose dimension is C(l + n - 1, l).
 
+Every coordinate vector in the package is indexed by one catalog:
+``basis_catalog(n, d)`` is the (size, n) int64 array of the degree-d
+exponent rows in x1-major order, and ``catalog_rank`` maps exponent rows
+(or sums of them) to their row in that array in closed form.
+
 Production code works exclusively in number-state coordinates and never
 touches the n^l-dimensional product space.  The dense constructions at the
 bottom of this module (explicit symmetrizer, explicit number-state vectors)
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 
 import numpy as np
@@ -97,23 +101,10 @@ def enumerate_multiindices(n, degree):
     """All multi-indices with n slots summing to ``degree``, x1-major order.
 
     For n = 2, degree = 2 the order is (2,0), (1,1), (0,2).  The listing is
-    deterministic and agrees with sorting under the MultiIndex order.
+    the rows of :func:`basis_catalog` and agrees with sorting under the
+    MultiIndex order.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(MultiIndex(prefix + (remaining,)))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, n)
-    return out
+    return [MultiIndex(row) for row in basis_catalog(n, degree).tolist()]
 
 
 def sym_dimension(n, level):
@@ -126,40 +117,28 @@ def sym_dimension(n, level):
     return math.comb(level + n - 1, level)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisCatalog:
-    """Fixed enumeration of all degree-``degree`` multi-indices on n slots.
-
-    ``indices[position[i]] is i`` for every catalog member, and ``expmat``
-    stacks the exponent tuples as an integer array of shape (size, n).
-    """
-
-    n: int
-    degree: int
-    indices: tuple
-    position: dict
-    expmat: np.ndarray
-
-    def __len__(self):
-        return len(self.indices)
-
-    def index(self, mi):
-        if not isinstance(mi, MultiIndex):
-            mi = MultiIndex(mi)
-        try:
-            return self.position[mi]
-        except KeyError:
-            raise ValueError(f"{mi} is not in the degree-{self.degree} catalog")
-
-
 @lru_cache(maxsize=None)
 def basis_catalog(n, degree):
-    indices = tuple(enumerate_multiindices(n, degree))
-    position = {mi: p for p, mi in enumerate(indices)}
-    expmat = np.array([mi.exponents for mi in indices], dtype=np.int64)
-    expmat.setflags(write=False)
-    return BasisCatalog(n=n, degree=degree, indices=indices,
-                        position=position, expmat=expmat)
+    """Read-only (size, n) int64 array of the degree-``degree`` exponents.
+
+    Rows are the multi-indices on n slots summing to ``degree``, strictly
+    decreasing in lexicographic (x1-major) order; row r is the catalog
+    position r that :func:`catalog_rank` computes.  Built by stars and
+    bars: the (n - 1) bar positions among degree + n - 1 slots, listed in
+    decreasing order, differenced into exponents.
+    """
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    size = sym_dimension(n, degree)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(degree + n - 1), n - 1)),
+        dtype=np.int64, count=size * (n - 1)).reshape(size, n - 1)
+    out = np.diff(bars[::-1], axis=1, prepend=-1, append=degree + n - 1) - 1
+    out.setflags(write=False)
+    return out
 
 
 def catalog_rank(*exponents):
@@ -168,7 +147,8 @@ def catalog_rank(*exponents):
     Each operand is an integer array whose last axis holds n exponents;
     the operands broadcast against each other and their sum must be a
     valid multi-index.  The result, of the broadcast shape without the
-    last axis, is the position of that sum in its ``basis_catalog``:
+    last axis, is the position of that sum in its catalog, i.e. its row in
+    ``basis_catalog(n, |e|)``:
 
         rank(e) = sum_{t=1}^{n-1} C(r_t + m_t - 1, m_t),
         r_t = e_{t+1} + ... + e_n,  m_t = n - t,

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .multiindex import (MultiIndex, basis_catalog, catalog_rank,
-                         sym_dimension)
+                         enumerate_multiindices, sym_dimension)
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,19 @@ def _vec_scale(n, degree):
     Polynomial coefficients alpha and number-state coordinates v of the same
     object are related by alpha_k = s_k v_k.
     """
-    cat = basis_catalog(n, degree)
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, degree + 1)))))
-    lk = lf[cat.expmat].sum(axis=1)
+    lk = lf[basis_catalog(n, degree)].sum(axis=1)
     s = np.exp(0.5 * (math.lgamma(degree + 1) - lk))
     s.setflags(write=False)
     return s
+
+
+def _catalog_coeffs(T):
+    """Coefficients alpha of T as a dense vector over its degree catalog."""
+    E = np.array([mi.exponents for mi in T.coeffs], dtype=np.int64)
+    v = np.zeros(len(basis_catalog(T.n, T.degree)))
+    v[catalog_rank(E.reshape(-1, T.n))] = list(T.coeffs.values())
+    return v
 
 
 def poly_to_vector(T):
@@ -197,26 +204,28 @@ def poly_to_vector(T):
     The vector v satisfies <x|^{(x)d} v = T(x) and the map is an isometry up
     to the stated diagonal scaling.
     """
-    cat = basis_catalog(T.n, T.degree)
-    s = _vec_scale(T.n, T.degree)
-    v = np.zeros(len(cat))
-    for mi, a in T.coeffs.items():
-        pos = cat.position[mi]
-        v[pos] = a / s[pos]
-    return v
+    return _catalog_coeffs(T) / _vec_scale(T.n, T.degree)
+
+
+@lru_cache(maxsize=None)
+def _catalog_keys(n, degree):
+    """MultiIndex of every catalog row, built once per shape.
+
+    Certificates turn p dense vectors per solve into polynomials.
+    """
+    return tuple(enumerate_multiindices(n, degree))
 
 
 def vector_to_poly(n, degree, vec):
     """Inverse of poly_to_vector."""
-    cat = basis_catalog(n, degree)
+    keys = _catalog_keys(n, degree)
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (len(cat),):
-        raise ValueError(f"expected a vector of length {len(cat)}")
-    s = _vec_scale(n, degree)
-    alpha = vec * s
-    return HomoPoly(n, degree, {mi: float(a)
-                                for mi, a in zip(cat.indices, alpha)
-                                if a != 0.0})
+    if vec.shape != (len(keys),):
+        raise ValueError(f"expected a vector of length {len(keys)}")
+    alpha = vec * _vec_scale(n, degree)
+    nz = np.flatnonzero(alpha)
+    return HomoPoly(n, degree, {keys[k]: a for k, a in
+                                zip(nz.tolist(), alpha[nz].tolist())})
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +236,7 @@ def _pair_maps(n, level):
     the split overlap <i (x) j | i + j>, and tau the vector with
     tr M = tau . vec for every maximally symmetric M.
     """
-    E = basis_catalog(n, level).expmat
+    E = basis_catalog(n, level)
     top = max(2 * level, 1)
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, top + 1)))))
     A = E[:, None, :] + E[None, :, :]
@@ -281,6 +290,7 @@ class MaxSymMatrix:
         return float(tau @ self.vec)
 
     def to_poly(self):
+        """Degree-2*ell polynomial Q with Q(x) = <x|^{(x)ell} M |x>^{(x)ell}."""
         return vector_to_poly(self.n, 2 * self.ell, self.vec)
 
     @classmethod
@@ -303,11 +313,6 @@ def poly_to_maxsym_matrix(T):
     if T.degree % 2 != 0:
         raise ValueError("matrix encoding needs an even-degree polynomial")
     return MaxSymMatrix(n=T.n, ell=T.degree // 2, vec=poly_to_vector(T))
-
-
-def matrix_to_poly(M):
-    """Degree-2*ell polynomial Q_M with Q_M(x) = <x|^{(x)ell} M |x>^{(x)ell}."""
-    return vector_to_poly(M.n, 2 * M.ell, M.vec)
 
 
 def multiply_r2(T, k):
@@ -347,7 +352,7 @@ def laplacian(T):
 @lru_cache(maxsize=None)
 def _trace_maps(n, level):
     """Per-variable gather maps for the single-system partial trace."""
-    E = basis_catalog(n, level).expmat
+    E = basis_catalog(n, level)
     drop = -np.eye(n, dtype=np.int64)
     maps = []
     for t in range(n):

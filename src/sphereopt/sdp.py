@@ -357,6 +357,15 @@ def _factor_schur(S):
     return None
 
 
+def check_solve_options(tol, max_iterations):
+    """Raise ValueError unless :func:`solve_sdp` accepts these settings."""
+    if not 1e-10 <= tol <= 1e-2:
+        raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
+    if max_iterations < 1:
+        raise ValueError("need a positive iteration budget, got "
+                         f"{max_iterations}")
+
+
 def solve_sdp(problem, tol=1e-8, max_iterations=100):
     """Solve the relaxation to the requested duality-gap tolerance.
 
@@ -366,10 +375,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
     or step-length breakdown, last iterate returned).  Reruns on identical
     input produce bitwise-identical output.
     """
-    if not 1e-10 <= tol <= 1e-2:
-        raise ValueError("tol must lie in [1e-10, 1e-2]")
-    if max_iterations < 1:
-        raise ValueError("need a positive iteration budget")
+    check_solve_options(tol, max_iterations)
     p = problem.p
     c = problem.objective
     tau = problem.tau

@@ -265,6 +265,24 @@ def test_exit_code_on_bad_conditioning_floor(monkeypatch, value):
     assert "SPHEREOPT_COND_RATIO" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--oracle", "--restarts", "0"], "--restarts"),
+    (["--tol", "1"], "tol"),
+    (["--tol", "nan"], "tol"),
+    (["--max-iterations", "0"], "iteration budget"),
+])
+def test_exit_code_on_bad_solver_settings(monkeypatch, extra, message):
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be solved on malformed settings")
+
+    for name in ("build_relaxation", "solve_and_report", "sphere_maximize"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = _run(["--poly", "x1^2*x2^2", "--level", "2", *extra])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("sphereopt: ") and message in err
+
+
 def test_exit_code_when_budget_too_small():
     code, out, _ = _run(["--poly", "x1^2*x2^2 + 0.3*x1*x2^3", "--level", "2",
                          "--max-iterations", "1", "--format", "json"])

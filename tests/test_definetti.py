@@ -9,12 +9,11 @@ from sphereopt.definetti import (BoundsReport, build_approx_moment_matrix,
                                  measure_density, moment_matrix_of_density,
                                  p_from_q_coefficients, product_state_vec,
                                  random_msym_state, random_product_mixture,
-                                 reduced_state, sandwich_report,
-                                 solve_and_report, state_from_harmonic_density,
-                                 trace_distance)
+                                 reduced_state, solve_and_report,
+                                 state_from_harmonic_density, trace_distance)
 from sphereopt.harmonics import (definetti_eps, harmonic_decompose,
                                  sphere_moment_vector)
-from sphereopt.multiindex import basis_catalog
+from sphereopt.multiindex import enumerate_multiindices
 from sphereopt.oracle import mc_sphere_integral, sphere_maximize
 from sphereopt.polymat import (MaxSymMatrix, evaluate, homo_poly,
                                vector_to_poly)
@@ -102,18 +101,18 @@ def test_product_state_vec_is_rank_one_with_known_overlaps():
     n, level = 3, 3
     x = _unit(rng, n)
     P = MaxSymMatrix(n, level, product_state_vec(x, level))
-    cat = basis_catalog(n, level)
+    cat = enumerate_multiindices(n, level)
     s = np.array([math.sqrt(math.factorial(level)
                             / math.prod(math.factorial(e) for e in mi))
                   * math.prod(x[t] ** e for t, e in enumerate(mi))
-                  for mi in cat.indices])
+                  for mi in cat])
     assert np.allclose(P.matrix, np.outer(s, s), atol=1e-12)
     assert P.trace() == pytest.approx(1.0, abs=1e-12)
     y = _unit(rng, n)
     sy = np.array([math.sqrt(math.factorial(level)
                              / math.prod(math.factorial(e) for e in mi))
                    * math.prod(y[t] ** e for t, e in enumerate(mi))
-                   for mi in cat.indices])
+                   for mi in cat])
     assert float(sy @ P.matrix @ sy) == pytest.approx(
         float(x @ y) ** (2 * level), abs=1e-12)
 
@@ -236,13 +235,8 @@ def test_solve_and_report_certifies_two_sided_bounds():
     assert tagged.oracle_value == oracle
     assert tagged.nu_upper == report.nu_upper
     assert report.oracle_value is None
-
-
-def test_sandwich_report_matches_solve_and_report():
-    T = homo_poly(3, 4, {(2, 2, 0): 1.0})
-    report = sandwich_report(T, 3)
-    full, _ = solve_and_report(T, 3)
-    assert report == full
+    # x1^2 x2^2 peaks at 1/4 on the sphere; level 3 brackets it
+    report, _ = solve_and_report(homo_poly(3, 4, {(2, 2, 0): 1.0}), 3)
     assert isinstance(report, BoundsReport)
     assert report.nu_lower <= 0.25 <= report.nu_upper + 1e-8
 

@@ -12,7 +12,7 @@ from sphereopt.harmonics import (definetti_eps, funk_hecke_residual,
                                  lambda_coeff, lambda_ratio, moment_table,
                                  ratio_gap_bounds, sphere_moment_vector,
                                  sphere_monomial_moment, surface_area)
-from sphereopt.multiindex import basis_catalog
+from sphereopt.multiindex import basis_catalog, enumerate_multiindices
 from sphereopt.oracle import mc_sphere_integral_poly
 from sphereopt.polymat import (homo_poly, laplacian, multiply_r2, r2k_poly,
                                vector_to_poly, _vec_scale)
@@ -170,9 +170,8 @@ def test_integrate_poly_and_moment_table():
     assert integrate_poly(r2k_poly(3, 2)) == pytest.approx(1.0, rel=1e-14)
     T = homo_poly(3, 2, {(2, 0, 0): 3.0, (0, 2, 0): -1.0, (1, 1, 0): 5.0})
     assert integrate_poly(T) == pytest.approx(3.0 / 3 - 1.0 / 3, rel=1e-13)
-    cat = basis_catalog(2, 4)
     table = moment_table(2, 4)
-    for pos, mi in enumerate(cat.indices):
+    for pos, mi in enumerate(enumerate_multiindices(2, 4)):
         assert table[pos] == sphere_monomial_moment(mi)
 
 

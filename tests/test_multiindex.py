@@ -61,27 +61,65 @@ def test_sym_dimension_matches_binomial():
         sym_dimension(3, -1)
 
 
+def _listing(n, d):
+    # x1-major listing written out recursively, independent of the catalog
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1)
+            for rest in _listing(n - 1, d - e)]
+
+
+def _rows_strictly_decreasing(E):
+    diff = E[:-1] - E[1:]
+    differs = diff != 0
+    first = diff[np.arange(len(diff)), differs.argmax(axis=1)]
+    return bool(differs.any(axis=1).all() and (first > 0).all())
+
+
 def test_basis_catalog_positions_roundtrip():
-    cat = basis_catalog(3, 4)
-    assert len(cat.indices) == sym_dimension(3, 4)
-    for pos, mi in enumerate(cat.indices):
-        assert cat.position[mi] == pos
-        assert tuple(cat.expmat[pos]) == mi.exponents
-    assert cat.expmat.sum(axis=1).tolist() == [4] * len(cat.indices)
+    E = basis_catalog(3, 4)
+    listed = enumerate_multiindices(3, 4)
+    assert len(listed) == len(E) == sym_dimension(3, 4)
+    for pos, mi in enumerate(listed):
+        assert catalog_rank(mi.exponents) == pos
+        assert tuple(E[pos]) == mi.exponents
+    assert E.sum(axis=1).tolist() == [4] * len(E)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 8)
+                                  for d in range(10)]
+                         + [(2, 40), (3, 40), (10, 8)])
+def test_basis_catalog_is_ordered_readonly_exponent_array(n, d):
+    E = basis_catalog(n, d)
+    assert E.dtype == np.int64
+    assert E.shape == (sym_dimension(n, d), n)
+    assert not E.flags.writeable
+    with pytest.raises(ValueError):
+        E[0, 0] = 1
+    assert (E.sum(axis=1) == d).all()
+    assert _rows_strictly_decreasing(E)
+    assert np.array_equal(catalog_rank(E), np.arange(len(E)))
+
+
+def test_basis_catalog_validates_shape():
+    for n, d in ((0, 2), (-1, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            basis_catalog(n, d)
+        with pytest.raises(ValueError):
+            enumerate_multiindices(n, d)
 
 
 def test_catalog_rank_matches_catalog_positions():
     for n in range(1, 7):
         for d in range(9):
-            cat = basis_catalog(n, d)
-            expect = np.array([cat.position[mi] for mi in cat.indices])
-            got = catalog_rank(cat.expmat)
+            E = np.array(_listing(n, d), dtype=np.int64)
+            expect = np.arange(len(E))
+            got = catalog_rank(E)
             assert got.dtype == np.int64
             assert np.array_equal(got, expect)
             # a split into two operands ranks the same rows
-            half = cat.expmat // 2
-            assert np.array_equal(catalog_rank(half, cat.expmat - half),
-                                  expect)
+            half = E // 2
+            assert np.array_equal(catalog_rank(half, E - half), expect)
 
 
 def test_catalog_rank_keeps_broadcast_shape_without_slots_to_rank():
@@ -94,12 +132,12 @@ def test_catalog_rank_keeps_broadcast_shape_without_slots_to_rank():
 
 
 def _reference_sum_map(n, d1, d2):
-    # dict lookups of every exponent sum, as the catalog itself stores them
-    position = {mi.exponents: pos
-                for mi, pos in basis_catalog(n, d1 + d2).position.items()}
-    E2 = basis_catalog(n, d2).expmat
+    # dict lookups of every exponent sum in the recursive listing
+    position = {e: pos for pos, e in enumerate(_listing(n, d1 + d2))}
+    E2 = np.array(_listing(n, d2), dtype=np.int64)
     return np.array([[position[tuple(row)] for row in (e + E2).tolist()]
-                     for e in basis_catalog(n, d1).expmat], dtype=np.int64)
+                     for e in np.array(_listing(n, d1), dtype=np.int64)],
+                    dtype=np.int64)
 
 
 @pytest.mark.parametrize("n, d1, d2", [(1, 3, 4), (2, 0, 6), (10, 4, 4),
@@ -115,18 +153,17 @@ def test_pair_and_trace_maps_match_dict_lookup(n, level):
     KK = _pair_maps(n, level)[0]
     assert KK.dtype == np.int64
     assert np.array_equal(KK, _reference_sum_map(n, level, level))
-    cat = basis_catalog(n, level)
-    below = basis_catalog(n, level - 1)
+    listed = [MultiIndex(e) for e in _listing(n, level)]
+    below = {e: pos for pos, e in enumerate(_listing(n, level - 1))}
     maps, size = _trace_maps(n, level)
     assert size == len(below)
     for t, (src, dst, wts) in enumerate(maps):
-        rows = [pos for pos, mi in enumerate(cat.indices) if mi[t] > 0]
+        rows = [pos for pos, mi in enumerate(listed) if mi[t] > 0]
         assert src.dtype == dst.dtype == np.int64
         assert np.array_equal(src, rows)
-        assert np.array_equal(dst, [below.position[cat.indices[r].shifted(
-            t, -1)] for r in rows])
-        assert np.array_equal(wts, [math.sqrt(cat.indices[r][t])
+        assert np.array_equal(dst, [below[listed[r].shifted(t, -1).exponents]
                                     for r in rows])
+        assert np.array_equal(wts, [math.sqrt(listed[r][t]) for r in rows])
 
 
 def test_number_state_overlap_small_values():
@@ -144,11 +181,11 @@ def test_number_state_overlap_rows_are_unit_vectors():
     # For every k of degree 2l, the overlaps over all (i, j) splits of k
     # form a unit vector.
     for n, level in ((2, 3), (3, 2), (4, 2)):
-        cat_l = basis_catalog(n, level)
+        cat_l = enumerate_multiindices(n, level)
         for k in enumerate_multiindices(n, 2 * level):
             total = 0.0
-            for i in cat_l.indices:
-                for j in cat_l.indices:
+            for i in cat_l:
+                for j in cat_l:
                     total += number_state_overlap(i, j, k) ** 2
             assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -8,10 +8,9 @@ from sphereopt.multiindex import (MultiIndex, basis_catalog,
                                   enumerate_multiindices)
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient,
                                homo_poly, laplacian, laplacian_via_trace_check,
-                               matrix_to_poly, multiply_r2,
-                               partial_trace_matrix, partial_trace_sym,
-                               poly_to_maxsym_matrix, poly_to_vector,
-                               r2k_poly, vector_to_poly)
+                               multiply_r2, partial_trace_matrix,
+                               partial_trace_sym, poly_to_maxsym_matrix,
+                               poly_to_vector, r2k_poly, vector_to_poly)
 
 
 def _random_poly(n, degree, seed):
@@ -90,11 +89,11 @@ def test_vector_roundtrip_and_product_state_pairing():
         for mi, a in T.coeffs.items():
             assert back.coeffs[mi] == pytest.approx(a, rel=1e-14)
         x = rng.standard_normal(n)
-        cat = basis_catalog(n, degree)
+        cat = enumerate_multiindices(n, degree)
         xs = np.array([
             math.sqrt(math.factorial(degree) / mi.factorial())
             * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat.indices])
+            for mi in cat])
         assert float(v @ xs) == pytest.approx(evaluate(T, x), rel=1e-12)
 
 
@@ -118,10 +117,10 @@ def test_moment_matrix_encoding_matches_dense_oracle():
                 # spread the coefficient evenly over its orbit
                 G[pos] = coeff * mi.factorial() / math.factorial(2 * a)
         G = G.reshape(n ** a, n ** a)
-        cat = basis_catalog(n, a)
-        for i, mi in enumerate(cat.indices):
+        cat = enumerate_multiindices(n, a)
+        for i, mi in enumerate(cat):
             di = dense_number_state(mi)
-            for j, mj in enumerate(cat.indices):
+            for j, mj in enumerate(cat):
                 dj = dense_number_state(mj)
                 assert Z.matrix[i, j] == pytest.approx(
                     float(di @ G @ dj), abs=1e-10)
@@ -133,11 +132,11 @@ def test_moment_matrix_quadratic_form_equals_poly():
         T = _random_poly(n, 2 * a, 5)
         Z = poly_to_maxsym_matrix(T)
         x = rng.standard_normal(n)
-        cat = basis_catalog(n, a)
+        cat = enumerate_multiindices(n, a)
         xs = np.array([
             math.sqrt(math.factorial(a) / mi.factorial())
             * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat.indices])
+            for mi in cat])
         assert float(xs @ Z.matrix @ xs) == pytest.approx(
             evaluate(T, x), rel=1e-11, abs=1e-11)
 
@@ -156,18 +155,18 @@ def test_r2_encoding_identity_and_psd():
         assert w[0] > 0.0
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        cat = basis_catalog(n, a)
+        cat = enumerate_multiindices(n, a)
         xs = np.array([
             math.sqrt(math.factorial(a) / mi.factorial())
             * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat.indices])
+            for mi in cat])
         assert float(xs @ Z.matrix @ xs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrix_poly_roundtrip():
     T = _random_poly(3, 4, 12)
     M = poly_to_maxsym_matrix(T)
-    back = matrix_to_poly(M)
+    back = M.to_poly()
     diff = back - T
     assert diff.max_abs_coeff() < 1e-12
 
@@ -231,10 +230,10 @@ def test_partial_trace_matrix_matches_dense_reshape():
     # Tracing out one tensor factor of the symmetric embedding agrees with
     # the dense partial trace over the last factor.
     n, ell = 2, 3
-    cat = basis_catalog(n, ell)
-    cat_low = basis_catalog(n, ell - 1)
-    dense_hi = np.array([dense_number_state(mi) for mi in cat.indices])
-    dense_lo = np.array([dense_number_state(mi) for mi in cat_low.indices])
+    cat = enumerate_multiindices(n, ell)
+    cat_low = enumerate_multiindices(n, ell - 1)
+    dense_hi = np.array([dense_number_state(mi) for mi in cat])
+    dense_lo = np.array([dense_number_state(mi) for mi in cat_low])
     rng = np.random.default_rng(13)
     A = rng.standard_normal((len(cat), len(cat)))
     A = A + A.T
@@ -252,18 +251,18 @@ def test_partial_trace_sym_product_state():
     # tracing ell - a systems out of |x><x|^{(x)ell} gives |x><x|^{(x)a}
     n, ell, a = 3, 3, 1
     x = np.array([0.6, 0.0, 0.8])
-    cat = basis_catalog(n, ell)
+    cat = enumerate_multiindices(n, ell)
     s_hi = np.array([
         math.sqrt(math.factorial(ell) / mi.factorial())
         * float(np.prod(x ** np.array(mi.exponents)))
-        for mi in cat.indices])
+        for mi in cat])
     M = MaxSymMatrix.from_matrix(n, ell, np.outer(s_hi, s_hi))
     red = partial_trace_sym(M, ell - a)
-    cat_a = basis_catalog(n, a)
+    cat_a = enumerate_multiindices(n, a)
     s_lo = np.array([
         math.sqrt(math.factorial(a) / mi.factorial())
         * float(np.prod(x ** np.array(mi.exponents)))
-        for mi in cat_a.indices])
+        for mi in cat_a])
     assert red.trace() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(red.matrix, np.outer(s_lo, s_lo), atol=1e-12)
 
