@@ -24,8 +24,7 @@ from .harmonics import (EpsBound, definetti_eps, funk_hecke_residual,
                         lambda_ratio, moment_table, ratio_gap_bounds,
                         sphere_moment_vector, sphere_monomial_moment,
                         surface_area)
-from .multiindex import (MultiIndex, basis_catalog, enumerate_multiindices,
-                         sym_dimension)
+from .multiindex import basis_catalog, sym_dimension
 from .oracle import (OracleResult, mc_sphere_integral,
                      mc_sphere_integral_poly, sphere_maximize)
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
@@ -45,13 +44,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport", "DEFAULT_MAX_P", "DEFAULT_MIN_COND_RATIO", "EpsBound",
     "HarmonicDecomposition",
-    "HomoPoly", "MaxSymMatrix", "MultiIndex", "OracleResult",
+    "HomoPoly", "MaxSymMatrix", "OracleResult",
     "ReductionRecord", "ResourceGuardError", "SdpProblem", "SdpSolution",
     "SolverError", "SphereMeasureDensity", "STATUS_MAX_ITERATIONS",
     "STATUS_NUMERICAL_FAILURE", "STATUS_OPTIMAL", "TraceCheck",
     "basis_catalog", "build_approx_moment_matrix", "build_relaxation",
     "canonicalize", "definetti_eps", "definetti_trace_check",
-    "density_constant", "enumerate_multiindices", "evaluate",
+    "density_constant", "evaluate",
     "extract_sos_certificate", "f1_distance_lower_estimate",
     "funk_hecke_residual", "gamma_factor", "gegenbauer_eval", "gradient",
     "harmonic_count", "harmonic_decompose", "homo_poly", "homogenize_terms",

@@ -24,7 +24,7 @@ from .definetti import solve_and_report
 from .harmonics import definetti_eps
 from .multiindex import sym_dimension
 from .oracle import sphere_maximize
-from .reduction import canonicalize, pullback_bounds
+from .reduction import canonicalize, pullback_bounds, solve_shape
 from .sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError, SolverError,
                   STATUS_OPTIMAL, build_relaxation, check_solve_options,
                   extract_sos_certificate, resolve_cond_ratio, resolve_max_p,
@@ -175,8 +175,12 @@ def load_json_input(stream):
                        for e in exps)):
             raise ValueError(
                 f"terms[{k}].exps must be {n} nonnegative integers")
+        try:
+            coeff = float(coeff)
+        except OverflowError:
+            raise ValueError(f"terms[{k}].coeff does not fit in a float")
         key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + float(coeff)
+        terms[key] = terms.get(key, 0.0) + coeff
     return n, terms
 
 
@@ -225,21 +229,28 @@ def _emit_json(value):
 
 
 def _poly_terms_json(T):
-    return [{"coeff": float(a), "exps": list(mi.exponents)}
-            for mi, a in sorted(T.coeffs.items())]
+    return [{"coeff": float(a), "exps": list(mi)}
+            for mi, a in T.catalog_terms()]
 
 
 def _poly_str(T, names):
     parts = []
-    for mi, a in sorted(T.coeffs.items()):
+    for mi, a in T.catalog_terms():
         factors = [_fmt_float(a)]
-        for t, e in enumerate(mi.exponents):
+        for t, e in enumerate(mi):
             if e == 1:
                 factors.append(names[t])
             elif e > 1:
                 factors.append(f"{names[t]}^{e}")
         parts.append("*".join(factors))
     return " + ".join(parts) if parts else "0"
+
+
+def _check_base_size(n, a, max_p):
+    if sym_dimension(n, a) > max_p:
+        raise ResourceGuardError(
+            f"base level {a} needs matrices of side {sym_dimension(n, a)}, "
+            f"above the guard {max_p}; raise {MAX_P_ENV} to override")
 
 
 def choose_level(n, a, max_p, min_cond_ratio=None):
@@ -249,10 +260,7 @@ def choose_level(n, a, max_p, min_cond_ratio=None):
     conditioning floor when that level is unaffordable; raises
     ResourceGuardError when even the base level is out of reach.
     """
-    if sym_dimension(n, a) > max_p:
-        raise ResourceGuardError(
-            f"base level {a} needs matrices of side {sym_dimension(n, a)}, "
-            f"above the guard {max_p}; raise {MAX_P_ENV} to override")
+    _check_base_size(n, a, max_p)
     floor = resolve_cond_ratio(min_cond_ratio)
     if uniform_conditioning(n, a) < floor:
         raise ResourceGuardError(
@@ -411,19 +419,22 @@ def run(args, out=None, err=None):
             if args.n is not None and args.n != n:
                 raise ValueError(
                     f"--n {args.n} conflicts with JSON field n = {n}")
-        record = canonicalize(n, terms)
+        solve_n, a = solve_shape(n, terms)
     except ValueError as exc:
         err.write(f"sphereopt: {exc}\n")
         return EXIT_INPUT
 
-    target = record.solve_target
-    a = target.degree // 2
     try:
         max_p = resolve_max_p(args.max_p)
+        if args.level is not None:
+            levels = _parse_level_spec(args.level, a)
+        # Padding the terms to one degree makes about as many terms as the
+        # base level has rows, so its size guard runs first.
+        _check_base_size(solve_n, a, max_p)
+        record = canonicalize(n, terms)
+        target = record.solve_target
         if args.level is None:
             levels = [choose_level(target.n, a, max_p)]
-        else:
-            levels = _parse_level_spec(args.level, a)
         # Guards fire on the deepest level first so a bad range fails fast.
         build_relaxation(target, levels[-1], max_p=max_p)
     except ResourceGuardError as exc:

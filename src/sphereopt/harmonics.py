@@ -49,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import MultiIndex, basis_catalog, enumerate_multiindices
-from .polymat import HomoPoly, laplacian, multiply_r2
+from .multiindex import basis_catalog, exponent_tuple
+from .polymat import HomoPoly, _vec_scale, laplacian, multiply_r2
 
 
 def surface_area(n):
@@ -184,11 +184,10 @@ def _moment_cached(n, exps):
 
 def sphere_monomial_moment(exponents):
     """Exact moment of x^exponents against the normalized surface measure."""
-    mi = exponents if isinstance(exponents, MultiIndex) else MultiIndex(exponents)
-    n = len(mi)
-    if n < 1:
+    exps = exponent_tuple(exponents)
+    if not exps:
         raise ValueError("need at least one variable")
-    return _moment_cached(n, mi.exponents)
+    return _moment_cached(len(exps), exps)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +201,7 @@ def moment_table(n, degree):
 
 def integrate_poly(T):
     """Exact integral of a homogeneous polynomial over the sphere."""
-    return float(sum(a * _moment_cached(T.n, mi.exponents)
+    return float(sum(a * _moment_cached(T.n, mi)
                      for mi, a in T.coeffs.items()))
 
 
@@ -213,7 +212,6 @@ def sphere_moment_vector(n, degree):
     degree 2l this is the vectorization of int |x><x|^{(x)l} dx, the strictly
     positive definite barycenter of the moment body.
     """
-    from .polymat import _vec_scale
     return _vec_scale(n, degree) * moment_table(n, degree)
 
 
@@ -296,12 +294,12 @@ def funk_hecke_residual(f, level, y):
             raise ValueError("input polynomial is not harmonic")
     lhs = 0.0
     log_fact = math.lgamma(2 * level + 1)
-    for mi in enumerate_multiindices(n, 2 * level):
+    for mi in basis_catalog(n, 2 * level).tolist():
         multinom = math.exp(log_fact - sum(math.lgamma(e + 1) for e in mi))
-        ypow = float(np.prod(yv ** np.array(mi.exponents)))
+        ypow = float(np.prod(yv ** np.array(mi)))
         if ypow == 0.0:
             continue
-        inner = sum(a * _moment_cached(n, (mi + mj).exponents)
+        inner = sum(a * _moment_cached(n, tuple(s + t for s, t in zip(mi, mj)))
                     for mj, a in f.coeffs.items())
         lhs += multinom * ypow * inner
     rhs = (surface_area(n - 1) / surface_area(n)

@@ -6,10 +6,14 @@ symmetrization |i> of the product vector e_1^{(x)i_1} (x) ... (x) e_n^{(x)i_n}
 in (R^n)^{(x)l}.  The vectors |i> form an orthonormal basis of the symmetric
 subspace Sym((R^n)^{(x)l}), whose dimension is C(l + n - 1, l).
 
-Every coordinate vector in the package is indexed by one catalog:
-``basis_catalog(n, d)`` is the (size, n) int64 array of the degree-d
-exponent rows in x1-major order, and ``catalog_rank`` maps exponent rows
-(or sums of them) to their row in that array in closed form.
+An exponent is a plain tuple of ints, as in the keys of ``HomoPoly.coeffs``,
+or a row of an int64 array; :func:`exponent_tuple` validates one where a
+public entry accepts it.  Every coordinate vector in the package is indexed
+by one catalog: ``basis_catalog(n, d)`` is the (size, n) int64 array of the
+degree-d exponent rows in x1-major order, and ``catalog_rank`` maps exponent
+rows (or sums of them) to their row in that array in closed form.  Within
+one degree the x1-major order is descending tuple order, the order in which
+``HomoPoly.catalog_terms`` lists a polynomial's terms.
 
 Production code works exclusively in number-state coordinates and never
 touches the n^l-dimensional product space.  The dense constructions at the
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,81 +34,20 @@ import numpy as np
 DENSE_PRODUCT_CAP = 10_000
 
 
-@total_ordering
-class MultiIndex:
-    """Immutable exponent vector with a cached total degree.
+def exponent_tuple(exponents, n=None, degree=None):
+    """Validated exponent tuple of plain ints.
 
-    The ordering is graded: lower total degree compares smaller.  Within one
-    degree the order is x1-major (descending exponent tuples), matching the
-    monomial listing x1^d, x1^{d-1} x2, ..., xn^d that
-    ``enumerate_multiindices`` produces.
+    Raises ValueError for a negative exponent and, when given, for a length
+    other than ``n`` or a total degree other than ``degree``.
     """
-
-    __slots__ = ("exponents", "degree")
-
-    def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in multi-index {exps}")
-        self.exponents = exps
-        self.degree = sum(exps)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __getitem__(self, t):
-        return self.exponents[t]
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.exponents == other.exponents
-        if isinstance(other, tuple):
-            return self.exponents == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        return self.exponents > other.exponents
-
-    def __add__(self, other):
-        if len(self) != len(other):
-            raise ValueError("multi-index length mismatch")
-        return MultiIndex(a + b for a, b in zip(self.exponents, other))
-
-    def __repr__(self):
-        return f"MultiIndex{self.exponents}"
-
-    def shifted(self, t, delta):
-        """Return a copy with exponent t changed by delta."""
-        exps = list(self.exponents)
-        exps[t] += delta
-        return MultiIndex(exps)
-
-    def factorial(self):
-        """i! = prod_t (i_t)!, exact integer."""
-        out = 1
-        for e in self.exponents:
-            out *= math.factorial(e)
-        return out
-
-
-def enumerate_multiindices(n, degree):
-    """All multi-indices with n slots summing to ``degree``, x1-major order.
-
-    For n = 2, degree = 2 the order is (2,0), (1,1), (0,2).  The listing is
-    the rows of :func:`basis_catalog` and agrees with sorting under the
-    MultiIndex order.
-    """
-    return [MultiIndex(row) for row in basis_catalog(n, degree).tolist()]
+    exps = tuple(map(int, exponents))
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in multi-index {exps}")
+    if n is not None and len(exps) != n:
+        raise ValueError(f"{exps} has {len(exps)} slots, expected {n}")
+    if degree is not None and sum(exps) != degree:
+        raise ValueError(f"{exps} has degree {sum(exps)}, expected {degree}")
+    return exps
 
 
 def sym_dimension(n, level):
@@ -184,20 +127,11 @@ def number_state_overlap(i, j, k):
     binomials never overflow.  For fixed k the overlaps over all (i, j)
     splits form a unit vector.
     """
-    if not isinstance(i, MultiIndex):
-        i = MultiIndex(i)
-    if not isinstance(j, MultiIndex):
-        j = MultiIndex(j)
-    if not isinstance(k, MultiIndex):
-        k = MultiIndex(k)
-    if len(i) != len(j) or len(i) != len(k):
-        raise ValueError("multi-index length mismatch")
-    level = i.degree
-    if j.degree != level:
-        raise ValueError("|i| and |j| must agree")
-    if k.degree != 2 * level:
-        raise ValueError("|k| must equal |i| + |j|")
-    if i + j != k:
+    i = exponent_tuple(i)
+    level = sum(i)
+    j = exponent_tuple(j, len(i), level)
+    k = exponent_tuple(k, len(i), 2 * level)
+    if any(it + jt != kt for it, jt, kt in zip(i, j, k)):
         return 0.0
     log = -_log_binom(2 * level, level)
     for it, kt in zip(i, k):
@@ -221,20 +155,19 @@ def dense_number_state(mi):
     Basis order of (R^n)^{(x)l} is lexicographic in the factor labels, most
     significant factor first.
     """
-    if not isinstance(mi, MultiIndex):
-        mi = MultiIndex(mi)
+    mi = exponent_tuple(mi)
     n = len(mi)
-    level = mi.degree
+    level = sum(mi)
     size = _check_dense_size(n, level)
-    coeff = math.exp(0.5 * (math.log(mi.factorial()) - math.lgamma(level + 1))) \
+    factorial = math.prod(map(math.factorial, mi))
+    coeff = math.exp(0.5 * (math.log(factorial) - math.lgamma(level + 1))) \
         if level > 0 else 1.0
     vec = np.zeros(size)
-    target = mi.exponents
     for pos, word in enumerate(itertools.product(range(n), repeat=level)):
         counts = [0] * n
         for w in word:
             counts[w] += 1
-        if tuple(counts) == target:
+        if tuple(counts) == mi:
             vec[pos] = coeff
     return vec
 

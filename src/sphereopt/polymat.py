@@ -33,17 +33,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import (MultiIndex, basis_catalog, catalog_rank,
-                         enumerate_multiindices, sym_dimension)
+from .multiindex import (basis_catalog, catalog_rank, exponent_tuple,
+                         sym_dimension)
 
 
 @dataclass(frozen=True)
 class HomoPoly:
     """Homogeneous polynomial in n real variables.
 
-    ``coeffs`` maps MultiIndex to float and stores no zero entries; all keys
-    have total degree ``degree`` and length ``n``.  Use :func:`homo_poly` to
-    build one with validation.
+    ``coeffs`` maps exponent tuples of plain ints to floats and stores no
+    zero entries; all keys have total degree ``degree`` and length ``n``.
+    Its insertion order is whatever built it; :meth:`catalog_terms` lists
+    the terms in catalog order.  Use :func:`homo_poly` to build one with
+    validation.
     """
 
     n: int
@@ -87,13 +89,17 @@ class HomoPoly:
     def max_abs_coeff(self):
         return max((abs(a) for a in self.coeffs.values()), default=0.0)
 
+    def catalog_terms(self):
+        """(exponents, coefficient) pairs in catalog (x1-major) order."""
+        return sorted(self.coeffs.items(), reverse=True)
+
     def _arrays(self):
         """(m, n) exponent matrix and (m,) coefficient vector, cached."""
         got = self._cache.get("arrays")
         if got is None:
             if self.coeffs:
-                items = sorted(self.coeffs.items())
-                E = np.array([mi.exponents for mi, _ in items], dtype=np.int64)
+                items = self.catalog_terms()
+                E = np.array([mi for mi, _ in items], dtype=np.int64)
                 C = np.array([a for _, a in items], dtype=float)
             else:
                 E = np.zeros((0, self.n), dtype=np.int64)
@@ -130,11 +136,7 @@ def homo_poly(n, degree, terms):
     coeffs = {}
     items = terms.items() if hasattr(terms, "items") else terms
     for key, a in items:
-        mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
-        if len(mi) != n:
-            raise ValueError(f"{mi} has {len(mi)} slots, expected {n}")
-        if mi.degree != degree:
-            raise ValueError(f"{mi} has degree {mi.degree}, expected {degree}")
+        mi = exponent_tuple(key, n, degree)
         a = float(a)
         if a == 0.0:
             continue
@@ -192,7 +194,7 @@ def _vec_scale(n, degree):
 
 def _catalog_coeffs(T):
     """Coefficients alpha of T as a dense vector over its degree catalog."""
-    E = np.array([mi.exponents for mi in T.coeffs], dtype=np.int64)
+    E = np.array(list(T.coeffs), dtype=np.int64)
     v = np.zeros(len(basis_catalog(T.n, T.degree)))
     v[catalog_rank(E.reshape(-1, T.n))] = list(T.coeffs.values())
     return v
@@ -207,25 +209,16 @@ def poly_to_vector(T):
     return _catalog_coeffs(T) / _vec_scale(T.n, T.degree)
 
 
-@lru_cache(maxsize=None)
-def _catalog_keys(n, degree):
-    """MultiIndex of every catalog row, built once per shape.
-
-    Certificates turn p dense vectors per solve into polynomials.
-    """
-    return tuple(enumerate_multiindices(n, degree))
-
-
 def vector_to_poly(n, degree, vec):
-    """Inverse of poly_to_vector."""
-    keys = _catalog_keys(n, degree)
+    """Inverse of poly_to_vector; terms are keyed in catalog order."""
+    E = basis_catalog(n, degree)
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (len(keys),):
-        raise ValueError(f"expected a vector of length {len(keys)}")
+    if vec.shape != (len(E),):
+        raise ValueError(f"expected a vector of length {len(E)}")
     alpha = vec * _vec_scale(n, degree)
     nz = np.flatnonzero(alpha)
-    return HomoPoly(n, degree, {keys[k]: a for k, a in
-                                zip(nz.tolist(), alpha[nz].tolist())})
+    return HomoPoly(n, degree, dict(zip(map(tuple, E[nz].tolist()),
+                                        alpha[nz].tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +319,7 @@ def multiply_r2(T, k):
         nxt = {}
         for mi, a in cur.items():
             for t in range(T.n):
-                key = mi.shifted(t, 2)
+                key = mi[:t] + (mi[t] + 2,) + mi[t + 1:]
                 nxt[key] = nxt.get(key, 0.0) + a
         cur = nxt
     return HomoPoly(T.n, T.degree + 2 * k, cur)
@@ -338,9 +331,9 @@ def laplacian(T):
         raise ValueError("Laplacian needs degree at least two")
     out = {}
     for mi, a in T.coeffs.items():
-        for t, e in enumerate(mi.exponents):
+        for t, e in enumerate(mi):
             if e >= 2:
-                key = mi.shifted(t, -2)
+                key = mi[:t] + (e - 2,) + mi[t + 1:]
                 s = out.get(key, 0.0) + a * e * (e - 1)
                 if s == 0.0:
                     out.pop(key, None)

@@ -28,7 +28,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .multiindex import MultiIndex
+from .multiindex import exponent_tuple
 from .polymat import HomoPoly, homo_poly, multiply_r2
 
 
@@ -40,21 +40,18 @@ def gamma_factor(a):
                     - a * math.log(2.0 * a))
 
 
-def homogenize_terms(n, terms):
-    """Single homogeneous polynomial equal on the sphere to the given terms.
+def _require_finite(coeffs):
+    if not all(map(math.isfinite, coeffs.values())):
+        raise ValueError("polynomial coefficients must be finite")
 
-    ``terms`` maps exponent tuples of length n to coefficients, possibly of
-    several degrees.  All degrees must share one parity; lower-degree terms
-    are padded with powers of the squared radius.  A constant becomes a
-    degree-2 polynomial (the smallest positive even degree).
-    """
+
+def _clean_terms(n, terms):
+    """Validated nonzero terms, summed per exponent, and the target degree."""
     if n < 2:
         raise ValueError("sphere optimization needs at least two variables")
     cleaned = {}
     for key, a in terms.items():
-        mi = key if isinstance(key, MultiIndex) else MultiIndex(tuple(key))
-        if len(mi) != n:
-            raise ValueError(f"{mi} has {len(mi)} slots, expected {n}")
+        mi = exponent_tuple(key, n)
         a = float(a)
         if a == 0.0:
             continue
@@ -62,26 +59,50 @@ def homogenize_terms(n, terms):
     cleaned = {mi: a for mi, a in cleaned.items() if a != 0.0}
     if not cleaned:
         raise ValueError("polynomial is identically zero")
-    degrees = {mi.degree for mi in cleaned}
+    _require_finite(cleaned)
+    degrees = {sum(mi) for mi in cleaned}
     if len({d % 2 for d in degrees}) > 1:
         raise ValueError(
             "terms of mixed degree parity cannot be made homogeneous "
             "on the sphere")
-    target = max(degrees)
-    if target == 0:
-        target = 2
+    return cleaned, max(degrees) or 2
+
+
+def homogenize_terms(n, terms):
+    """Single homogeneous polynomial equal on the sphere to the given terms.
+
+    ``terms`` maps exponent tuples of length n to coefficients, possibly of
+    several degrees.  All degrees must share one parity and every summed
+    coefficient must be finite; lower-degree terms are padded with powers
+    of the squared radius.  A constant becomes a degree-2 polynomial (the
+    smallest positive even degree).
+    """
+    cleaned, target = _clean_terms(n, terms)
     out = HomoPoly(n, target, {})
     for mi, a in cleaned.items():
-        pad = (target - mi.degree) // 2
-        out = out + multiply_r2(homo_poly(n, mi.degree, {mi: a}), pad)
+        degree = sum(mi)
+        out = out + multiply_r2(homo_poly(n, degree, {mi: a}),
+                                (target - degree) // 2)
+    # padding adds terms up, which can overflow
+    _require_finite(out.coeffs)
     return out
+
+
+def solve_shape(n, terms):
+    """(variables, half-degree a) of the problem ``canonicalize`` solves.
+
+    Validates the terms as :func:`homogenize_terms` does without padding
+    them, so that size guards can run before the padding's cost.
+    """
+    _, degree = _clean_terms(n, terms)
+    return n + degree % 2, (degree + 1) // 2
 
 
 def lift_odd(T):
     """x_0 * T as an even-degree polynomial in one extra leading variable."""
     if T.degree % 2 != 1:
         raise ValueError("lift applies to odd-degree polynomials")
-    terms = {(1,) + mi.exponents: a for mi, a in T.coeffs.items()}
+    terms = {(1,) + mi: a for mi, a in T.coeffs.items()}
     return homo_poly(T.n + 1, T.degree + 1, terms)
 
 

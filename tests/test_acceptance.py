@@ -27,8 +27,8 @@ from sphereopt.definetti import (definetti_trace_check,
 from sphereopt.harmonics import (definetti_eps, funk_hecke_residual,
                                  harmonic_decompose, lambda_coeff,
                                  surface_area)
-from sphereopt.multiindex import (MultiIndex, dense_number_state,
-                                  enumerate_multiindices, sym_dimension)
+from sphereopt.multiindex import (basis_catalog, dense_number_state,
+                                  sym_dimension)
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (homo_poly, poly_to_maxsym_matrix,
                                vector_to_poly)
@@ -331,13 +331,14 @@ def test_08_matrix_encoding_dense_equivalence(capsys):
                     counts = [0] * n
                     for w in word:
                         counts[w] += 1
-                    mi = MultiIndex(counts)
+                    mi = tuple(counts)
                     coeff = T.coeffs.get(mi)
                     if coeff is not None:
-                        G[pos] = coeff * mi.factorial() / math.factorial(2 * a)
+                        G[pos] = (coeff * math.prod(map(math.factorial, mi))
+                                  / math.factorial(2 * a))
                 G = G.reshape(n ** a, n ** a)
                 dense = np.array([dense_number_state(mi) for mi in
-                                  enumerate_multiindices(n, a)])
+                                  basis_catalog(n, a).tolist()])
                 ref = dense @ G @ dense.T
                 err = float(np.abs(Z.matrix - ref).max())
                 worst = max(worst, err)

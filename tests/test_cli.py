@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sphereopt import cli
+from sphereopt import cli, reduction
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
                            ParseError, choose_level, load_json_input, main,
                            parse_poly)
@@ -265,6 +265,15 @@ def test_exit_code_on_bad_conditioning_floor(monkeypatch, value):
     assert "SPHEREOPT_COND_RATIO" in err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("this input must be refused before any work")
+
+
+def _forbid_solving(monkeypatch):
+    for name in ("build_relaxation", "solve_and_report", "sphere_maximize"):
+        monkeypatch.setattr(cli, name, _never)
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--oracle", "--restarts", "0"], "--restarts"),
     (["--tol", "1"], "tol"),
@@ -272,15 +281,44 @@ def test_exit_code_on_bad_conditioning_floor(monkeypatch, value):
     (["--max-iterations", "0"], "iteration budget"),
 ])
 def test_exit_code_on_bad_solver_settings(monkeypatch, extra, message):
-    def never(*args, **kwargs):
-        raise AssertionError("nothing may be solved on malformed settings")
-
-    for name in ("build_relaxation", "solve_and_report", "sphere_maximize"):
-        monkeypatch.setattr(cli, name, never)
+    _forbid_solving(monkeypatch)
     code, out, err = _run(["--poly", "x1^2*x2^2", "--level", "2", *extra])
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("sphereopt: ") and message in err
+
+
+@pytest.mark.parametrize("source, message", [
+    ('{"n": 2, "terms": [{"coeff": NaN, "exps": [2, 0]}, '
+     '{"coeff": 1, "exps": [0, 2]}]}', "finite"),
+    ('{"n": 2, "terms": [{"coeff": 1' + "0" * 400 + ', "exps": [2, 0]}, '
+     '{"coeff": 1, "exps": [0, 2]}]}', "terms[0].coeff"),
+    ("1e999*x1^2 + x2^2", "finite"),
+    ("1e308*x1^2 + 1e308*x1^2 + x2^2", "finite"),
+], ids=["json-nan", "json-400-digits", "poly-1e999", "poly-overflowing-sum"])
+def test_exit_code_on_non_finite_coefficients(monkeypatch, tmp_path, source,
+                                              message):
+    _forbid_solving(monkeypatch)
+    if source.startswith("{"):
+        path = tmp_path / "poly.json"
+        path.write_text(source, encoding="utf-8")
+        argv = ["--input", str(path)]
+    else:
+        argv = ["--poly", source]
+    code, out, err = _run(argv + ["--oracle", "--format", "json"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("sphereopt: ") and message in err
+
+
+def test_size_guard_fires_before_homogenization_pads(monkeypatch):
+    _forbid_solving(monkeypatch)
+    monkeypatch.setattr(reduction, "multiply_r2", _never)
+    # base level 50 in 5 variables: p = C(54, 4) = 316251
+    code, out, err = _run(["--poly", "x1^100 + x2^2 + x3^2 + x4^2 + x5^2"])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "316251" in err and "guard" in err
 
 
 def test_exit_code_when_budget_too_small():

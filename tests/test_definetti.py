@@ -13,10 +13,9 @@ from sphereopt.definetti import (BoundsReport, build_approx_moment_matrix,
                                  state_from_harmonic_density, trace_distance)
 from sphereopt.harmonics import (definetti_eps, harmonic_decompose,
                                  sphere_moment_vector)
-from sphereopt.multiindex import enumerate_multiindices
+from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import mc_sphere_integral, sphere_maximize
-from sphereopt.polymat import (MaxSymMatrix, evaluate, homo_poly,
-                               vector_to_poly)
+from sphereopt.polymat import MaxSymMatrix, homo_poly, vector_to_poly
 
 
 def _unit(rng, n):
@@ -101,7 +100,7 @@ def test_product_state_vec_is_rank_one_with_known_overlaps():
     n, level = 3, 3
     x = _unit(rng, n)
     P = MaxSymMatrix(n, level, product_state_vec(x, level))
-    cat = enumerate_multiindices(n, level)
+    cat = basis_catalog(n, level).tolist()
     s = np.array([math.sqrt(math.factorial(level)
                             / math.prod(math.factorial(e) for e in mi))
                   * math.prod(x[t] ** e for t, e in enumerate(mi))

@@ -12,10 +12,10 @@ from sphereopt.harmonics import (definetti_eps, funk_hecke_residual,
                                  lambda_coeff, lambda_ratio, moment_table,
                                  ratio_gap_bounds, sphere_moment_vector,
                                  sphere_monomial_moment, surface_area)
-from sphereopt.multiindex import basis_catalog, enumerate_multiindices
+from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import mc_sphere_integral_poly
-from sphereopt.polymat import (homo_poly, laplacian, multiply_r2, r2k_poly,
-                               vector_to_poly, _vec_scale)
+from sphereopt.polymat import (homo_poly, laplacian, r2k_poly, vector_to_poly,
+                               _vec_scale)
 
 
 def _normalized_gegenbauer(j, n, t):
@@ -149,6 +149,8 @@ def test_sphere_monomial_moment_known_values():
     assert sphere_monomial_moment((2, 1, 0)) == 0.0
     assert sphere_monomial_moment((2, 2)) == pytest.approx(1.0 / 8.0,
                                                            rel=1e-14)
+    with pytest.raises(ValueError):
+        sphere_monomial_moment((4, -2))
 
 
 def test_sphere_monomial_moment_matches_sympy_beta_form():
@@ -171,7 +173,7 @@ def test_integrate_poly_and_moment_table():
     T = homo_poly(3, 2, {(2, 0, 0): 3.0, (0, 2, 0): -1.0, (1, 1, 0): 5.0})
     assert integrate_poly(T) == pytest.approx(3.0 / 3 - 1.0 / 3, rel=1e-13)
     table = moment_table(2, 4)
-    for pos, mi in enumerate(enumerate_multiindices(2, 4)):
+    for pos, mi in enumerate(basis_catalog(2, 4).tolist()):
         assert table[pos] == sphere_monomial_moment(mi)
 
 

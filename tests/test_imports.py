@@ -1,0 +1,41 @@
+"""Every imported name is used: an AST scan in place of a linter.
+
+``sphereopt/__init__.py`` is skipped, since its imports are re-exports.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = ([p for p in sorted((ROOT / "src" / "sphereopt").glob("*.py"))
+            if p.name != "__init__.py"]
+           + sorted((ROOT / "tests").glob("*.py")))
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_scan_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from math import pi, tau\n"
+              "x = np.zeros(1) + pi + os.sep\n")
+    assert _unused_imports(source) == ["tau"]
+
+
+def test_no_unused_imports():
+    assert len(SOURCES) > 10
+    found = {p.relative_to(ROOT).as_posix(): names for p in SOURCES
+             if (names := _unused_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.multiindex import (MultiIndex, basis_catalog,
-                                  dense_number_state, dense_symmetrizer,
-                                  enumerate_multiindices)
-from sphereopt.polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient,
+from sphereopt.multiindex import basis_catalog, dense_number_state
+from sphereopt.polymat import (MaxSymMatrix, evaluate, gradient,
                                homo_poly, laplacian, laplacian_via_trace_check,
                                multiply_r2, partial_trace_matrix,
                                partial_trace_sym, poly_to_maxsym_matrix,
@@ -19,6 +17,14 @@ def _random_poly(n, degree, seed):
     return vector_to_poly(n, degree, rng.standard_normal(len(cat)))
 
 
+def _product_coords(x, level):
+    # number-state coordinates sqrt(level!/i!) x^i of x^{(x)level}
+    return np.array([
+        math.sqrt(math.factorial(level) / math.prod(map(math.factorial, mi)))
+        * float(np.prod(x ** np.array(mi)))
+        for mi in basis_catalog(len(x), level).tolist()])
+
+
 def test_homo_poly_validation():
     T = homo_poly(2, 3, {(3, 0): 1.0, (1, 2): -2.0, (0, 3): 0.0})
     assert len(T.coeffs) == 2  # zero coefficient dropped
@@ -27,6 +33,8 @@ def test_homo_poly_validation():
         homo_poly(2, 3, {(2, 0): 1.0})  # degree mismatch
     with pytest.raises(ValueError):
         homo_poly(2, 3, {(1, 1, 1): 1.0})  # wrong length
+    with pytest.raises(ValueError):
+        homo_poly(2, 3, {(4, -1): 1.0})  # negative exponent
     with pytest.raises(ValueError):
         homo_poly(0, 1, {})
 
@@ -38,9 +46,17 @@ def test_homo_poly_arithmetic():
     assert S.coeffs == homo_poly(2, 2, {(2, 0): 1.0, (0, 2): 3.0}).coeffs
     assert (A - A).is_zero()
     assert A.scaled(0).is_zero()
-    assert (-A).coeffs[MultiIndex((2, 0))] == -1.0
+    assert (-A).coeffs[(2, 0)] == -1.0
     with pytest.raises(ValueError):
         A + homo_poly(2, 4, {(2, 2): 1.0})
+
+
+def test_catalog_terms_follow_basis_catalog():
+    rng = np.random.default_rng(19)
+    rows = list(map(tuple, basis_catalog(3, 4).tolist()))
+    shuffled = [rows[k] for k in rng.permutation(len(rows))]
+    T = homo_poly(3, 4, {e: 1.0 + k for k, e in enumerate(shuffled)})
+    assert [e for e, _ in T.catalog_terms()] == rows
 
 
 def test_evaluate_scalar_and_batch():
@@ -89,11 +105,7 @@ def test_vector_roundtrip_and_product_state_pairing():
         for mi, a in T.coeffs.items():
             assert back.coeffs[mi] == pytest.approx(a, rel=1e-14)
         x = rng.standard_normal(n)
-        cat = enumerate_multiindices(n, degree)
-        xs = np.array([
-            math.sqrt(math.factorial(degree) / mi.factorial())
-            * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat])
+        xs = _product_coords(x, degree)
         assert float(v @ xs) == pytest.approx(evaluate(T, x), rel=1e-12)
 
 
@@ -111,13 +123,14 @@ def test_moment_matrix_encoding_matches_dense_oracle():
             counts = [0] * n
             for w in word:
                 counts[w] += 1
-            mi = MultiIndex(counts)
+            mi = tuple(counts)
             coeff = T.coeffs.get(mi)
             if coeff is not None:
                 # spread the coefficient evenly over its orbit
-                G[pos] = coeff * mi.factorial() / math.factorial(2 * a)
+                G[pos] = (coeff * math.prod(map(math.factorial, mi))
+                          / math.factorial(2 * a))
         G = G.reshape(n ** a, n ** a)
-        cat = enumerate_multiindices(n, a)
+        cat = basis_catalog(n, a).tolist()
         for i, mi in enumerate(cat):
             di = dense_number_state(mi)
             for j, mj in enumerate(cat):
@@ -132,11 +145,7 @@ def test_moment_matrix_quadratic_form_equals_poly():
         T = _random_poly(n, 2 * a, 5)
         Z = poly_to_maxsym_matrix(T)
         x = rng.standard_normal(n)
-        cat = enumerate_multiindices(n, a)
-        xs = np.array([
-            math.sqrt(math.factorial(a) / mi.factorial())
-            * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat])
+        xs = _product_coords(x, a)
         assert float(xs @ Z.matrix @ xs) == pytest.approx(
             evaluate(T, x), rel=1e-11, abs=1e-11)
 
@@ -155,11 +164,7 @@ def test_r2_encoding_identity_and_psd():
         assert w[0] > 0.0
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        cat = enumerate_multiindices(n, a)
-        xs = np.array([
-            math.sqrt(math.factorial(a) / mi.factorial())
-            * float(np.prod(x ** np.array(mi.exponents)))
-            for mi in cat])
+        xs = _product_coords(x, a)
         assert float(xs @ Z.matrix @ xs) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -207,7 +212,7 @@ def test_laplacian_known_values():
     r2 = r2k_poly(3, 1)
     lap = laplacian(r2)
     assert lap.degree == 0
-    assert lap.coeffs[MultiIndex((0, 0, 0))] == pytest.approx(6.0)
+    assert lap.coeffs[(0, 0, 0)] == pytest.approx(6.0)
     harm = homo_poly(2, 2, {(2, 0): 1.0, (0, 2): -1.0})
     assert laplacian(harm).is_zero()
 
@@ -230,8 +235,8 @@ def test_partial_trace_matrix_matches_dense_reshape():
     # Tracing out one tensor factor of the symmetric embedding agrees with
     # the dense partial trace over the last factor.
     n, ell = 2, 3
-    cat = enumerate_multiindices(n, ell)
-    cat_low = enumerate_multiindices(n, ell - 1)
+    cat = basis_catalog(n, ell).tolist()
+    cat_low = basis_catalog(n, ell - 1).tolist()
     dense_hi = np.array([dense_number_state(mi) for mi in cat])
     dense_lo = np.array([dense_number_state(mi) for mi in cat_low])
     rng = np.random.default_rng(13)
@@ -240,7 +245,6 @@ def test_partial_trace_matrix_matches_dense_reshape():
     got = partial_trace_matrix(A, n, ell)
     big = dense_hi.T @ A @ dense_hi
     big = big.reshape(n ** (ell - 1), n, n ** (ell - 1), n)
-    traced = np.einsum("iajb->ij", big[:, :, :, :] * 0)
     traced = np.einsum("iaja->ij", big)
     expect = dense_lo @ traced @ dense_lo.T
     assert np.allclose(got, expect, atol=1e-11)
@@ -251,18 +255,10 @@ def test_partial_trace_sym_product_state():
     # tracing ell - a systems out of |x><x|^{(x)ell} gives |x><x|^{(x)a}
     n, ell, a = 3, 3, 1
     x = np.array([0.6, 0.0, 0.8])
-    cat = enumerate_multiindices(n, ell)
-    s_hi = np.array([
-        math.sqrt(math.factorial(ell) / mi.factorial())
-        * float(np.prod(x ** np.array(mi.exponents)))
-        for mi in cat])
+    s_hi = _product_coords(x, ell)
     M = MaxSymMatrix.from_matrix(n, ell, np.outer(s_hi, s_hi))
     red = partial_trace_sym(M, ell - a)
-    cat_a = enumerate_multiindices(n, a)
-    s_lo = np.array([
-        math.sqrt(math.factorial(a) / mi.factorial())
-        * float(np.prod(x ** np.array(mi.exponents)))
-        for mi in cat_a])
+    s_lo = _product_coords(x, a)
     assert red.trace() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(red.matrix, np.outer(s_lo, s_lo), atol=1e-12)
 

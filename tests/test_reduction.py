@@ -52,6 +52,9 @@ def test_homogenize_constant_and_validation():
         homogenize_terms(1, {(2,): 1.0})
     with pytest.raises(ValueError, match="slots"):
         homogenize_terms(3, {(2, 0): 1.0})
+    # finite terms whose padded sum overflows
+    with pytest.raises(ValueError, match="finite"):
+        homogenize_terms(2, {(2, 0): 1e308, (0, 0): 1e308})
 
 
 def test_lift_odd_evaluation_identity():

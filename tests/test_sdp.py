@@ -4,8 +4,7 @@ import pytest
 import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import (_pair_maps, evaluate, homo_poly, r2k_poly,
-                               vector_to_poly)
+from sphereopt.polymat import _pair_maps, evaluate, homo_poly, vector_to_poly
 from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError,
                            SolverError, STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation,
