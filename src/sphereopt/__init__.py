@@ -10,14 +10,13 @@ at an explicit o(1) rate in the level.
 """
 
 from .definetti import (BoundsReport, SphereMeasureDensity, TraceCheck,
-                        build_approx_moment_matrix, definetti_trace_check,
-                        density_constant, f1_distance_lower_estimate,
-                        lower_bound, measure_density,
-                        moment_matrix_of_density, p_from_q_coefficients,
-                        product_state_vec, random_msym_state,
-                        random_product_mixture, reduced_state,
-                        solve_and_report, state_from_harmonic_density,
-                        trace_distance)
+                        definetti_trace_check, density_constant,
+                        f1_distance_lower_estimate, lower_bound,
+                        measure_density, moment_matrix_of_density,
+                        p_from_q_coefficients, product_state_vec,
+                        random_msym_state, random_product_mixture,
+                        reduced_state, solve_and_report,
+                        state_from_harmonic_density, trace_distance)
 from .harmonics import (EpsBound, definetti_eps, funk_hecke_residual,
                         gegenbauer_eval, harmonic_count, harmonic_decompose,
                         HarmonicDecomposition, integrate_poly, lambda_coeff,
@@ -48,7 +47,7 @@ __all__ = [
     "ReductionRecord", "ResourceGuardError", "SdpProblem", "SdpSolution",
     "SolverError", "SphereMeasureDensity", "STATUS_MAX_ITERATIONS",
     "STATUS_NUMERICAL_FAILURE", "STATUS_OPTIMAL", "TraceCheck",
-    "basis_catalog", "build_approx_moment_matrix", "build_relaxation",
+    "basis_catalog", "build_relaxation",
     "canonicalize", "definetti_eps", "definetti_trace_check",
     "density_constant", "evaluate",
     "extract_sos_certificate", "f1_distance_lower_estimate",

@@ -22,13 +22,11 @@ import sys
 
 from .definetti import solve_and_report
 from .harmonics import definetti_eps
-from .multiindex import sym_dimension
 from .oracle import sphere_maximize
 from .reduction import canonicalize, pullback_bounds, solve_shape
-from .sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError, SolverError,
-                  STATUS_OPTIMAL, build_relaxation, check_solve_options,
-                  extract_sos_certificate, resolve_cond_ratio, resolve_max_p,
-                  uniform_conditioning)
+from .sdp import (MAX_P_ENV, ResourceGuardError, SolverError, STATUS_OPTIMAL,
+                  build_relaxation, check_level, check_solve_options,
+                  extract_sos_certificate, resolve_max_p)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -246,37 +244,27 @@ def _poly_str(T, names):
     return " + ".join(parts) if parts else "0"
 
 
-def _check_base_size(n, a, max_p):
-    if sym_dimension(n, a) > max_p:
-        raise ResourceGuardError(
-            f"base level {a} needs matrices of side {sym_dimension(n, a)}, "
-            f"above the guard {max_p}; raise {MAX_P_ENV} to override")
-
-
-def choose_level(n, a, max_p, min_cond_ratio=None):
+def choose_level(n, a, max_p):
     """Smallest level whose a priori error bound is at most one half.
 
-    Falls back to the deepest level within the size guard and the
-    conditioning floor when that level is unaffordable; raises
-    ResourceGuardError when even the base level is out of reach.
+    Starts at the base level a and climbs while the bound exceeds one half
+    and :func:`sphereopt.sdp.check_level` accepts the next level, up to
+    ``MAX_AUTO_LEVEL``; so it falls back to the deepest level within the
+    size guard and the conditioning floor.  Raises ResourceGuardError when
+    even the base level is out of reach.
     """
-    _check_base_size(n, a, max_p)
-    floor = resolve_cond_ratio(min_cond_ratio)
-    if uniform_conditioning(n, a) < floor:
-        raise ResourceGuardError(
-            f"base level {a} has moment-body conditioning below the floor "
-            f"{floor:.2e} for reliable double-precision solves; lower "
-            f"{COND_RATIO_ENV} to force")
-    best = a
-    for level in range(a, MAX_AUTO_LEVEL + 1):
-        if (sym_dimension(n, level) > max_p
-                or uniform_conditioning(n, level) < floor):
-            return best
-        best = level
+    check_level(n, a, max_p)
+    level = a
+    while level < MAX_AUTO_LEVEL:
         eps = definetti_eps(a, level, n)
         if eps.valid and eps.value <= 0.5:
-            return level
-    return best
+            break
+        try:
+            check_level(n, level + 1, max_p)
+        except ResourceGuardError:
+            break
+        level += 1
+    return level
 
 
 def _build_parser():
@@ -405,6 +393,7 @@ def run(args, out=None, err=None):
         if args.oracle and args.restarts < 1:
             raise ValueError(
                 f"--restarts must be at least 1, got {args.restarts}")
+        max_p = resolve_max_p(args.max_p)
         if args.poly is not None:
             n, terms = parse_poly(args.poly, args.n)
         else:
@@ -425,18 +414,18 @@ def run(args, out=None, err=None):
         return EXIT_INPUT
 
     try:
-        max_p = resolve_max_p(args.max_p)
-        if args.level is not None:
-            levels = _parse_level_spec(args.level, a)
         # Padding the terms to one degree makes about as many terms as the
-        # base level has rows, so its size guard runs first.
-        _check_base_size(solve_n, a, max_p)
+        # base level has rows, so the guards run first, on the deepest
+        # level, and a bad range fails fast.
+        if args.level is None:
+            levels = [choose_level(solve_n, a, max_p)]
+        else:
+            levels = _parse_level_spec(args.level, a)
+            check_level(solve_n, levels[-1], max_p)
         record = canonicalize(n, terms)
         target = record.solve_target
-        if args.level is None:
-            levels = [choose_level(target.n, a, max_p)]
-        # Guards fire on the deepest level first so a bad range fails fast.
-        build_relaxation(target, levels[-1], max_p=max_p)
+        problems = [build_relaxation(target, level, max_p=max_p)
+                    for level in levels]
     except ResourceGuardError as exc:
         err.write(f"sphereopt: {exc}\n")
         return EXIT_RESOURCE
@@ -453,10 +442,12 @@ def run(args, out=None, err=None):
     code = EXIT_OK
     blocks = []
     try:
-        for level in levels:
+        while problems:
+            # popped, so a solved level's matrices are freed with its
+            # solution
             report, solution = solve_and_report(
-                target, level, tol=args.tol,
-                max_iterations=args.max_iterations, max_p=max_p)
+                problems.pop(0), tol=args.tol,
+                max_iterations=args.max_iterations)
             report = pullback_bounds(record, report)
             if args.oracle:
                 report = report.with_oracle(oracle_result.value)

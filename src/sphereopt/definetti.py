@@ -44,7 +44,7 @@ from .oracle import _restart_rng, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs, _vec_scale,
                       evaluate, partial_trace_sym, poly_to_vector,
                       vector_to_poly)
-from .sdp import build_relaxation, solve_sdp
+from .sdp import solve_sdp
 
 
 def density_constant(n, level):
@@ -133,15 +133,8 @@ def reduced_state(M, a):
     return partial_trace_sym(M, M.ell - a)
 
 
-def build_approx_moment_matrix(M, a, psd_tol=1e-7):
-    """Moment matrix of the measure induced by the state M, at level a."""
-    if not 1 <= a <= M.ell:
-        raise ValueError("approximation level must lie in [1, ell]")
-    return moment_matrix_of_density(measure_density(M, psd_tol), a)
-
-
-def lower_bound(T, M, psd_tol=1e-7):
-    """Average of T against the measure induced by M.
+def lower_bound(T, density):
+    """Average of T against a probability density on the sphere.
 
     A certified lower bound on the sphere maximum of T, since the average
     of T under any probability measure on the sphere cannot exceed it.
@@ -149,8 +142,7 @@ def lower_bound(T, M, psd_tol=1e-7):
     if T.degree % 2 != 0 or T.degree < 2:
         raise ValueError("need an even-degree objective")
     a = T.degree // 2
-    approx = build_approx_moment_matrix(M, a, psd_tol)
-    return float(poly_to_vector(T) @ approx.vec)
+    return float(poly_to_vector(T) @ moment_matrix_of_density(density, a).vec)
 
 
 @dataclass(frozen=True)
@@ -191,23 +183,24 @@ class BoundsReport:
         return dataclasses.replace(self, oracle_value=float(value))
 
 
-def solve_and_report(T, level, tol=1e-8, max_iterations=100, max_p=None):
-    """Solve one relaxation level and certify two-sided bounds.
+def solve_and_report(problem, tol=1e-8, max_iterations=100):
+    """Solve a built relaxation and certify two-sided bounds.
 
+    ``problem`` comes from :func:`sphereopt.sdp.build_relaxation`.  The
+    upper bound is the solver's dual value; the lower bound is
+    :func:`lower_bound` against the density of the optimizing state.
     Returns (report, solution); the solution carries the optimizing state
     and the dual slack for certificate extraction.
     """
-    problem = build_relaxation(T, level, max_p=max_p)
     solution = solve_sdp(problem, tol=tol, max_iterations=max_iterations)
-    a = problem.a
+    T, level = problem.target, problem.ell
     # Interior-point iterates stay strictly feasible, so the optimizer is
     # a valid state even when the solve stops early.
     density = measure_density(solution.M_star, psd_tol=1e-6)
-    nu_tilde = float(poly_to_vector(T)
-                     @ moment_matrix_of_density(density, a).vec)
-    eps = definetti_eps(a, level, T.n)
+    eps = definetti_eps(problem.a, level, T.n)
     report = BoundsReport(n=T.n, degree=T.degree, level=level,
-                          nu_upper=solution.t_star, nu_lower=nu_tilde,
+                          nu_upper=solution.t_star,
+                          nu_lower=lower_bound(T, density),
                           eps=eps.value, eps_valid=eps.valid,
                           duality_gap=solution.duality_gap,
                           status=solution.status,
@@ -240,8 +233,9 @@ def definetti_trace_check(M, a, psd_tol=1e-7):
     """
     if not 1 <= a < M.ell:
         raise ValueError("need 1 <= a < ell")
-    dist = trace_distance(reduced_state(M, a),
-                          build_approx_moment_matrix(M, a, psd_tol))
+    dist = trace_distance(
+        reduced_state(M, a),
+        moment_matrix_of_density(measure_density(M, psd_tol), a))
     bound = 2.0 * a * a * (a + M.n / 2.0 - 1.0) / (2 * M.ell + M.n)
     return TraceCheck(distance=dist, bound=bound,
                       satisfied=dist <= bound * (1 + 1e-9))
@@ -260,7 +254,7 @@ def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8,
     if trials < 1:
         raise ValueError("need at least one trial")
     diff = (reduced_state(M, a).vec
-            - build_approx_moment_matrix(M, a, psd_tol).vec)
+            - moment_matrix_of_density(measure_density(M, psd_tol), a).vec)
     cat = basis_catalog(M.n, 2 * a)
     best = 0.0
     for r in range(trials):

@@ -79,32 +79,35 @@ class ResourceGuardError(RuntimeError):
 
 
 def resolve_max_p(max_p=None):
+    """Size guard: the argument, else ``SPHEREOPT_MAX_P``, else 512."""
     if max_p is not None:
-        return int(max_p)
-    env = os.environ.get(MAX_P_ENV)
-    if env:
+        name, cap = "max_p", int(max_p)
+    else:
+        env = os.environ.get(MAX_P_ENV)
+        if not env:
+            return DEFAULT_MAX_P
+        name = MAX_P_ENV
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{MAX_P_ENV} must be an integer, got {env!r}")
-    return DEFAULT_MAX_P
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1, got {cap}")
+    return cap
 
 
-def resolve_cond_ratio(min_ratio=None):
+def resolve_cond_ratio():
     """Conditioning floor: a finite ratio >= 0, where 0 means no floor."""
-    if min_ratio is not None:
-        name, ratio = "min_cond_ratio", float(min_ratio)
-    else:
-        env = os.environ.get(COND_RATIO_ENV)
-        if not env:
-            return DEFAULT_MIN_COND_RATIO
-        name = COND_RATIO_ENV
-        try:
-            ratio = float(env)
-        except ValueError:
-            raise ValueError(f"{COND_RATIO_ENV} must be a number, got {env!r}")
+    env = os.environ.get(COND_RATIO_ENV)
+    if not env:
+        return DEFAULT_MIN_COND_RATIO
+    try:
+        ratio = float(env)
+    except ValueError:
+        raise ValueError(f"{COND_RATIO_ENV} must be a number, got {env!r}")
     if not 0.0 <= ratio < np.inf:
-        raise ValueError(f"{name} must be a finite number >= 0, got {ratio!r}")
+        raise ValueError(
+            f"{COND_RATIO_ENV} must be a finite number >= 0, got {ratio!r}")
     return ratio
 
 
@@ -201,19 +204,37 @@ class SdpProblem:
         return t0, t0 * np.eye(self.p) - Zt
 
 
-def build_relaxation(T, level, max_p=None, min_cond_ratio=None):
+def check_level(n, level, max_p=None):
+    """Raise ResourceGuardError unless the level is affordable in n variables.
+
+    The matrix side p = C(level + n - 1, level) must stay within the size
+    guard (:func:`resolve_max_p`), and the moment-body conditioning above
+    the floor where double precision still solves reliably
+    (:func:`resolve_cond_ratio`; in practice n = 2 stops at level 20 and
+    n = 3 at level 19, while for n >= 4 the size guard binds first).
+    """
+    cap = resolve_max_p(max_p)
+    p = sym_dimension(n, level)
+    if p > cap:
+        raise ResourceGuardError(
+            f"level {level} needs matrices of side {p}, above the guard "
+            f"{cap}; raise {MAX_P_ENV} to override")
+    floor = resolve_cond_ratio()
+    ratio = uniform_conditioning(n, level)
+    if ratio < floor:
+        raise ResourceGuardError(
+            f"level {level} has moment-body conditioning {ratio:.2e}, below "
+            f"the floor {floor:.2e} for reliable double-precision solves; "
+            f"lower {COND_RATIO_ENV} to force")
+
+
+def build_relaxation(T, level, max_p=None):
     """Assemble the level-``level`` relaxation for a homogeneous objective.
 
     Requires n >= 2, even degree 2a >= 2, a nonzero objective and
-    level >= a.  Raises ResourceGuardError when the matrix side
-    p = C(level + n - 1, level) exceeds the size guard (default
-    ``DEFAULT_MAX_P``, overridable via the ``SPHEREOPT_MAX_P`` environment
-    variable or the ``max_p`` argument), or when the moment-body
-    conditioning at this level drops below the floor where double
-    precision still solves reliably (default ``DEFAULT_MIN_COND_RATIO``,
-    overridable via ``SPHEREOPT_COND_RATIO`` or ``min_cond_ratio``; in
-    practice this caps n = 2 at level 20 and n = 3 at level 19, while for
-    n >= 4 the size guard binds first).
+    level >= a.  Raises ResourceGuardError when :func:`check_level`
+    refuses the level, and ValueError when the objective padded by
+    r^{2(level - a)} overflows a float.
     """
     if T.n < 2:
         raise ValueError("sphere optimization needs at least two variables")
@@ -225,26 +246,18 @@ def build_relaxation(T, level, max_p=None, min_cond_ratio=None):
     level = int(level)
     if level < a:
         raise ValueError(f"level must be at least {a} for degree {T.degree}")
-    cap = resolve_max_p(max_p)
-    p = sym_dimension(T.n, level)
-    if p > cap:
-        raise ResourceGuardError(
-            f"level {level} needs matrices of side {p}, above the guard "
-            f"{cap}; raise {MAX_P_ENV} to override")
-    floor = resolve_cond_ratio(min_cond_ratio)
-    ratio = uniform_conditioning(T.n, level)
-    if ratio < floor:
-        raise ResourceGuardError(
-            f"level {level} has moment-body conditioning {ratio:.2e}, below "
-            f"the floor {floor:.2e} for reliable double-precision solves; "
-            f"lower {COND_RATIO_ENV} to force")
-    q = sym_dimension(T.n, 2 * level)
+    check_level(T.n, level, max_p)
     objective_poly = multiply_r2(T, level - a)
     c = poly_to_vector(objective_poly)
+    if not np.isfinite(c).all():
+        raise ValueError(
+            f"level {level} objective overflows a float once padded by "
+            f"r^{2 * (level - a)}; scale the coefficients down")
     _, _, tau = _pair_maps(T.n, level)
     return SdpProblem(n=T.n, a=a, ell=level, target=T,
                       objective_poly=objective_poly, objective=c,
-                      tau=np.array(tau), p=p, q=q)
+                      tau=np.array(tau), p=sym_dimension(T.n, level),
+                      q=sym_dimension(T.n, 2 * level))
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,8 +224,8 @@ def test_05_high_level_two_sided_certificates(capsys):
     width = 0.0
     for k in range(20):
         T = _random_poly(3, 4, 500 + k)
-        report, solution = solve_and_report(T, level, tol=1e-7,
-                                            max_iterations=120)
+        report, solution = solve_and_report(build_relaxation(T, level),
+                                            tol=1e-7, max_iterations=120)
         if report.status != "optimal":
             failures.append(f"instance {k}: status {report.status}")
             continue
@@ -297,7 +297,8 @@ def test_07_odd_degree_lift_pipeline(capsys):
             failures.append(
                 f"instance {k}: lifted max {lifted_best:.8f} vs gamma * "
                 f"max = {gamma * best:.8f}")
-        report, _ = solve_and_report(record.solve_target, 4)
+        report, _ = solve_and_report(
+            build_relaxation(record.solve_target, 4))
         pulled = pullback_bounds(record, report)
         if not (pulled.nu_lower - 1e-6 <= best <= pulled.nu_upper + 1e-6):
             failures.append(

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sphereopt import cli, reduction
+from sphereopt import cli, definetti, reduction, sdp
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
                            ParseError, choose_level, load_json_input, main,
                            parse_poly)
@@ -92,18 +92,27 @@ def test_load_json_input_roundtrips_and_validates():
             load_json_input(io.StringIO(text))
 
 
-def test_choose_level_targets_half_error():
+def test_choose_level_targets_half_error(monkeypatch):
+    monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
     # quadratics in three variables: eps = 6 / (2 level + 3) <= 1/2
     assert choose_level(3, 1, 512) == 5
     # quartics want level 39 but the conditioning floor caps n = 3 at 19
     assert choose_level(3, 2, 512) == 19
     assert choose_level(3, 2, 900) == 19
-    assert choose_level(3, 2, 900, min_cond_ratio=0.0) == 39
     # a tight size guard binds before the conditioning floor
     assert choose_level(3, 2, 50) == 8
     assert choose_level(2, 2, 512) == 20
     with pytest.raises(ResourceGuardError):
         choose_level(33, 2, 512)
+    monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0")
+    assert choose_level(3, 2, 900) == 39
+    # a floor above the base level's conditioning refuses it, naming the
+    # ratio; one only the base level clears stops the climb there
+    monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0.9")
+    with pytest.raises(ResourceGuardError,
+                       match=r"level 2 has moment-body conditioning \d"):
+        choose_level(3, 2, 512)
+    assert choose_level(3, 1, 512) == 1
 
 
 def test_run_text_output_and_determinism():
@@ -279,6 +288,7 @@ def _forbid_solving(monkeypatch):
     (["--tol", "1"], "tol"),
     (["--tol", "nan"], "tol"),
     (["--max-iterations", "0"], "iteration budget"),
+    (["--max-p", "0"], "max_p"),
 ])
 def test_exit_code_on_bad_solver_settings(monkeypatch, extra, message):
     _forbid_solving(monkeypatch)
@@ -319,6 +329,35 @@ def test_size_guard_fires_before_homogenization_pads(monkeypatch):
     assert code == EXIT_RESOURCE
     assert out == ""
     assert "316251" in err and "guard" in err
+
+
+def test_padded_overflow_exits_before_any_solve(monkeypatch):
+    # finite coefficients that overflow once padded to the auto level 19
+    monkeypatch.setattr(cli, "solve_and_report", _never)
+    monkeypatch.setattr(cli, "sphere_maximize", _never)
+    code, out, err = _run(["--poly", "1e303*x1^2*x2^2 + x3^4", "--oracle"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("sphereopt: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("level, builds", [(None, 1), ("2..4", 3)])
+def test_one_build_per_solved_level(monkeypatch, level, builds):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return sdp.build_relaxation(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_relaxation", counted)
+    monkeypatch.setattr(definetti, "build_relaxation", counted,
+                        raising=False)
+    argv = ["--poly", "x1^2*x2^2 + 0.5*x1^4 + x2^4"]
+    if level is not None:
+        argv += ["--level", level]
+    code, _, _ = _run(argv)
+    assert code == EXIT_OK
+    assert len(calls) == builds
 
 
 def test_exit_code_when_budget_too_small():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.definetti import (BoundsReport, build_approx_moment_matrix,
-                                 definetti_trace_check, density_constant,
+from sphereopt.definetti import (BoundsReport, definetti_trace_check,
+                                 density_constant,
                                  f1_distance_lower_estimate, lower_bound,
                                  measure_density, moment_matrix_of_density,
                                  p_from_q_coefficients, product_state_vec,
@@ -16,6 +16,7 @@ from sphereopt.harmonics import (definetti_eps, harmonic_decompose,
 from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import mc_sphere_integral, sphere_maximize
 from sphereopt.polymat import MaxSymMatrix, homo_poly, vector_to_poly
+from sphereopt.sdp import build_relaxation
 
 
 def _unit(rng, n):
@@ -192,11 +193,11 @@ def test_lower_bound_is_sound():
         w = rng.standard_normal(15)
         T = vector_to_poly(3, 4, w / np.abs(w).sum())
         M = random_product_mixture(3, 4, components=3, seed=seed)
-        lo = lower_bound(T, M)
+        lo = lower_bound(T, measure_density(M))
         hi = sphere_maximize(T, restarts=16, seed=0).value
         assert lo <= hi + 1e-9
     with pytest.raises(ValueError):
-        lower_bound(homo_poly(3, 3, {(1, 1, 1): 1.0}), M)
+        lower_bound(homo_poly(3, 3, {(1, 1, 1): 1.0}), measure_density(M))
 
 
 def test_random_state_generators_are_valid_and_deterministic():
@@ -220,7 +221,7 @@ def test_solve_and_report_certifies_two_sided_bounds():
     rng = np.random.default_rng(10)
     w = rng.standard_normal(15)
     T = vector_to_poly(3, 4, w / np.abs(w).sum())
-    report, solution = solve_and_report(T, 4)
+    report, solution = solve_and_report(build_relaxation(T, 4))
     assert report.status == "optimal"
     assert report.nu_upper == solution.t_star
     assert report.duality_gap == solution.duality_gap
@@ -235,7 +236,8 @@ def test_solve_and_report_certifies_two_sided_bounds():
     assert tagged.nu_upper == report.nu_upper
     assert report.oracle_value is None
     # x1^2 x2^2 peaks at 1/4 on the sphere; level 3 brackets it
-    report, _ = solve_and_report(homo_poly(3, 4, {(2, 2, 0): 1.0}), 3)
+    report, _ = solve_and_report(
+        build_relaxation(homo_poly(3, 4, {(2, 2, 0): 1.0}), 3))
     assert isinstance(report, BoundsReport)
     assert report.nu_lower <= 0.25 <= report.nu_upper + 1e-8
 
@@ -254,10 +256,8 @@ def test_trace_distance_definition():
         trace_distance(A, np.eye(3))
 
 
-def test_build_approx_moment_matrix_close_to_reduction():
+def test_density_moment_matrix_close_to_reduction():
     M = random_msym_state(3, 8, seed=12)
-    approx = build_approx_moment_matrix(M, 2)
+    approx = moment_matrix_of_density(measure_density(M), 2)
     red = reduced_state(M, 2)
     assert trace_distance(red, approx) <= 2.0 * 4.0 * 3.0 / (16 + 3)
-    with pytest.raises(ValueError):
-        build_approx_moment_matrix(M, 9)

@@ -9,6 +9,7 @@ from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import evaluate, homo_poly
 from sphereopt.reduction import (canonicalize, gamma_factor, homogenize_terms,
                                  lift_odd, pullback_bounds)
+from sphereopt.sdp import build_relaxation
 
 
 def test_gamma_factor_matches_profile_maximum():
@@ -98,7 +99,7 @@ def test_canonicalize_odd_lifts_and_records_gamma():
 def test_pullback_brackets_odd_maximum():
     # max of x1^3 on the circle is 1; solve the lifted quartic and pull back
     rec = canonicalize(2, {(3, 0): 1.0})
-    report, _ = solve_and_report(rec.solve_target, 6)
+    report, _ = solve_and_report(build_relaxation(rec.solve_target, 6))
     pulled = pullback_bounds(rec, report)
     assert pulled.n == 2 and pulled.degree == 3
     assert pulled.nu_upper == pytest.approx(report.nu_upper / rec.gamma,

@@ -51,6 +51,14 @@ def test_build_relaxation_shapes_and_guards():
         build_relaxation(T, 40)  # p would exceed the default guard
 
 
+def test_build_relaxation_rejects_padded_overflow():
+    # finite coefficients whose padding by r^{2(l - a)} overflows deep down
+    T = homo_poly(3, 4, {(2, 2, 0): 1e303, (0, 0, 4): 1.0})
+    assert np.isfinite(build_relaxation(T, 2).objective).all()
+    with pytest.raises(ValueError, match="overflows"):
+        build_relaxation(T, 19)
+
+
 def test_resolve_max_p_env_override(monkeypatch):
     monkeypatch.delenv(MAX_P_ENV, raising=False)
     assert resolve_max_p() == 512
@@ -63,17 +71,24 @@ def test_resolve_max_p_env_override(monkeypatch):
     monkeypatch.setenv(MAX_P_ENV, "abc")
     with pytest.raises(ValueError):
         resolve_max_p()
+    # a guard below one would refuse every level; reject it by name
+    monkeypatch.setenv(MAX_P_ENV, "0")
+    with pytest.raises(ValueError, match=MAX_P_ENV):
+        resolve_max_p()
+    with pytest.raises(ValueError, match="max_p"):
+        resolve_max_p(-5)
 
 
 def test_conditioning_guard(monkeypatch):
     monkeypatch.delenv(COND_RATIO_ENV, raising=False)
     assert resolve_cond_ratio() == 5e-6
-    assert resolve_cond_ratio(1e-9) == 1e-9
     T = _random_poly(2, 4, 5)
     assert build_relaxation(T, 20).p == 21  # deepest level above the floor
     with pytest.raises(ResourceGuardError, match="conditioning"):
         build_relaxation(T, 21)
-    assert build_relaxation(T, 21, min_cond_ratio=1e-12).p == 22
+    monkeypatch.setenv(COND_RATIO_ENV, "1e-9")
+    assert resolve_cond_ratio() == 1e-9
+    assert build_relaxation(T, 21).p == 22
     monkeypatch.setenv(COND_RATIO_ENV, "1e-12")
     assert resolve_cond_ratio() == 1e-12
     assert build_relaxation(T, 22).p == 23
@@ -93,9 +108,6 @@ def test_conditioning_floor_rejects_non_finite_and_negative(monkeypatch,
     monkeypatch.setenv(COND_RATIO_ENV, value)
     with pytest.raises(ValueError, match=COND_RATIO_ENV):
         build_relaxation(T, 20)
-    monkeypatch.delenv(COND_RATIO_ENV)
-    with pytest.raises(ValueError, match="min_cond_ratio"):
-        build_relaxation(T, 20, min_cond_ratio=float(value))
 
 
 def test_uniform_conditioning_decays_exponentially():
