@@ -115,10 +115,10 @@ def parse_poly(text, n=None):
                         at = tokens[i][2] if i < len(tokens) else end_pos
                         raise ParseError("expected an integer exponent", at)
                     raw = tokens[i][1]
-                    power = int(raw)
-                    if power != raw or power < 0:
+                    if not raw.is_integer():
                         raise ParseError("exponent must be a nonnegative "
                                          "integer", tokens[i][2])
+                    power = int(raw)
                     i += 1
                 exps[idx] = exps.get(idx, 0) + power
                 max_index = max(max_index, idx)
@@ -190,19 +190,6 @@ def _fmt_float(v):
     return out
 
 
-def _json_escape(s):
-    out = ["\""]
-    for ch in s:
-        if ch in "\\\"":
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
-
-
 def _emit_json(value):
     """Deterministic JSON text: insertion-ordered keys, %.17g floats."""
     if value is None:
@@ -216,9 +203,9 @@ def _emit_json(value):
     if isinstance(value, float):
         return _fmt_float(value)
     if isinstance(value, str):
-        return _json_escape(value)
+        return json.dumps(value)
     if isinstance(value, dict):
-        inner = ",".join(f"{_json_escape(str(k))}:{_emit_json(v)}"
+        inner = ",".join(f"{json.dumps(str(k))}:{_emit_json(v)}"
                          for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
@@ -312,7 +299,7 @@ def _parse_level_spec(spec, a):
         raise ValueError(f"--level range is empty: {spec}")
     if lo < a:
         raise ValueError(f"--level must be at least {a} for this degree")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _report_payload(report, record, oracle_result, certificate):
@@ -393,6 +380,8 @@ def run(args, out=None, err=None):
         if args.oracle and args.restarts < 1:
             raise ValueError(
                 f"--restarts must be at least 1, got {args.restarts}")
+        if args.oracle and args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         max_p = resolve_max_p(args.max_p)
         if args.poly is not None:
             n, terms = parse_poly(args.poly, args.n)

@@ -22,6 +22,10 @@ g(j) = j((j + n)/2 - 1) / (2l + n):
 * the polynomial-pairing (F1) distance is at most twice that, which is
   meaningful once l >= 2 a^2 (a + n/2 - 1) - n/2.
 
+These bounds are the theorem behind the a priori ``eps`` of each report
+(:func:`sphereopt.harmonics.definetti_eps`); the package computes no
+distance itself.
+
 Averaging the objective itself against rho_M gives a certified lower
 bound on its sphere maximum that complements the relaxation's upper
 bound; :func:`solve_and_report` computes the pair.
@@ -32,18 +36,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import (definetti_eps, harmonic_decompose, integrate_poly,
-                        lambda_coeff, moment_table, sphere_moment_vector,
-                        surface_area)
-from .multiindex import basis_catalog, catalog_rank, sym_dimension
-from .oracle import _restart_rng, sphere_maximize
+from .harmonics import (definetti_eps, integrate_poly, lambda_coeff,
+                        moment_table, surface_area)
+from .multiindex import basis_catalog, catalog_rank
 from .polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs, _vec_scale,
-                      evaluate, partial_trace_sym, poly_to_vector,
-                      vector_to_poly)
+                      evaluate, partial_trace_sym, poly_to_vector)
 from .sdp import solve_sdp
 
 
@@ -98,19 +98,6 @@ def _sum_index_map(n, d1, d2):
     return out
 
 
-def _weighted_moment_vector(n, degree, parts):
-    """Vector of sqrt(degree!/k!) * integral(x^k * sum(parts)) over k."""
-    cat = basis_catalog(n, degree)
-    v = np.zeros(len(cat))
-    for g in parts:
-        if g.is_zero():
-            continue
-        S = _sum_index_map(n, degree, g.degree)
-        mom = moment_table(n, degree + g.degree)
-        v += mom[S] @ _catalog_coeffs(g)
-    return _vec_scale(n, degree) * v
-
-
 def moment_matrix_of_density(density, a):
     """Level-a moment matrix of the measure: averages of |x><x|^{(x)a}.
 
@@ -120,8 +107,13 @@ def moment_matrix_of_density(density, a):
     """
     if a < 1:
         raise ValueError("moment matrix level must be positive")
-    vec = _weighted_moment_vector(density.n, 2 * a, [density.poly])
-    return MaxSymMatrix(density.n, a, vec)
+    n, g = density.n, density.poly
+    S = _sum_index_map(n, 2 * a, g.degree)
+    # entry k is the integral of x^k g; summing onto zeros keeps the
+    # zero entries +0.0
+    v = np.zeros(len(S))
+    v += moment_table(n, 2 * a + g.degree)[S] @ _catalog_coeffs(g)
+    return MaxSymMatrix(n, a, _vec_scale(n, 2 * a) * v)
 
 
 def reduced_state(M, a):
@@ -207,155 +199,3 @@ def solve_and_report(problem, tol=1e-8, max_iterations=100):
                           iterations=solution.iterations, tol=tol,
                           density=density)
     return report, solution
-
-
-def trace_distance(A, B):
-    """Half the sum of absolute eigenvalues of the difference."""
-    Am = A.matrix if isinstance(A, MaxSymMatrix) else np.asarray(A)
-    Bm = B.matrix if isinstance(B, MaxSymMatrix) else np.asarray(B)
-    if Am.shape != Bm.shape:
-        raise ValueError("shape mismatch")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(Am - Bm)).sum())
-
-
-class TraceCheck(NamedTuple):
-    distance: float
-    bound: float
-    satisfied: bool
-
-
-def definetti_trace_check(M, a, psd_tol=1e-7):
-    """Compare reduction and measure reconstruction in trace norm.
-
-    The distance between the physical reduction of M to level a and the
-    moment matrix of the induced measure is bounded by
-    2 a^2 (a + n/2 - 1) / (2 ell + n); needs a < ell.
-    """
-    if not 1 <= a < M.ell:
-        raise ValueError("need 1 <= a < ell")
-    dist = trace_distance(
-        reduced_state(M, a),
-        moment_matrix_of_density(measure_density(M, psd_tol), a))
-    bound = 2.0 * a * a * (a + M.n / 2.0 - 1.0) / (2 * M.ell + M.n)
-    return TraceCheck(distance=dist, bound=bound,
-                      satisfied=dist <= bound * (1 + 1e-9))
-
-
-def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8,
-                               psd_tol=1e-7):
-    """Estimate from below the polynomial-pairing distance at level a.
-
-    Samples random level-a test polynomials F, pairs them against the
-    difference between the reduction of M and the measure reconstruction,
-    and normalizes by the sphere maximum of |F| found by local search.
-    Deterministic for fixed (seed, trials); enlarging ``trials`` never
-    changes earlier samples.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    diff = (reduced_state(M, a).vec
-            - moment_matrix_of_density(measure_density(M, psd_tol), a).vec)
-    cat = basis_catalog(M.n, 2 * a)
-    best = 0.0
-    for r in range(trials):
-        rng = _restart_rng(seed, r)
-        w = rng.standard_normal(len(cat))
-        F = vector_to_poly(M.n, 2 * a, w)
-        hi = sphere_maximize(F, restarts=restarts, seed=seed).value
-        lo = sphere_maximize(-F, restarts=restarts, seed=seed).value
-        sup = max(abs(hi), abs(lo))
-        if sup <= 0.0:
-            continue
-        best = max(best, abs(float(w @ diff)) / sup)
-    return best
-
-
-def p_from_q_coefficients(M):
-    """Signed density with the exact moment matrix M, by harmonic layer.
-
-    Returns a dict mapping even harmonic degree j to a harmonic polynomial
-    h_j; the function P(x) = sum_j h_j(x) on the sphere satisfies
-    M = integral of P(x) |x><x|^{(x)ell} dx exactly.  P is obtained from
-    the polynomial of M by scaling each harmonic layer with the inverse of
-    its averaging attenuation, so it may be negative at intermediate
-    levels of the hierarchy even though the polynomial of M is not.
-    """
-    decomp = harmonic_decompose(M.to_poly())
-    unit = surface_area(M.n) / surface_area(M.n - 1)
-    out = {}
-    for j, h in decomp.parts.items():
-        if h.is_zero():
-            continue
-        out[j] = h.scaled(unit / lambda_coeff(M.n, M.ell, j))
-    return out
-
-
-def state_from_harmonic_density(n, level, parts):
-    """Moment matrix of a signed density given as harmonic layers.
-
-    Inverse of :func:`p_from_q_coefficients`: integrating
-    |x><x|^{(x)level} against sum_j parts[j] recovers the original
-    maximally symmetric matrix.
-    """
-    polys = []
-    for j, h in parts.items():
-        if h.degree != j:
-            raise ValueError("layer key must match polynomial degree")
-        polys.append(h)
-    vec = _weighted_moment_vector(n, 2 * level, polys)
-    return MaxSymMatrix(n, level, vec)
-
-
-def product_state_vec(x, level):
-    """Coordinates of the rank-one state |x><x|^{(x)level}, unit |x|."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    mono = np.prod(x[None, :] ** basis_catalog(n, 2 * level), axis=1)
-    return _vec_scale(n, 2 * level) * mono
-
-
-def random_product_mixture(n, level, components=4, seed=0):
-    """Random finite mixture of rank-one states; always a valid state."""
-    if components < 1:
-        raise ValueError("need at least one component")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6d69]))
-    weights = rng.dirichlet(np.ones(components))
-    vec = np.zeros(len(basis_catalog(n, 2 * level)))
-    for w in weights:
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        vec += w * product_state_vec(x, level)
-    return MaxSymMatrix(n, level, vec)
-
-
-def random_msym_state(n, level, seed=0, clip_rounds=3):
-    """Random positive semidefinite structural state of unit trace.
-
-    Projects a random Wishart matrix onto the structural subspace, then
-    alternates a few eigenvalue clips with re-projections; whatever
-    negativity survives is removed by mixing in just enough of the
-    uniform-measure state (whose smallest eigenvalue is comfortably
-    positive).  Unlike :func:`random_product_mixture` the result is not
-    constrained to the mixtures of rank-one states.  Deterministic in
-    ``seed``.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4d53]))
-    p = sym_dimension(n, level)
-    R = rng.standard_normal((p, p))
-    state = MaxSymMatrix.from_matrix(n, level, R @ R.T)
-    state = MaxSymMatrix(n, level, state.vec / state.trace())
-    for _ in range(clip_rounds):
-        w, V = np.linalg.eigh(state.matrix)
-        if w[0] >= 0.0:
-            break
-        clipped = (V * np.clip(w, 0.0, None)) @ V.T
-        state = MaxSymMatrix.from_matrix(n, level, clipped)
-        state = MaxSymMatrix(n, level, state.vec / state.trace())
-    low = float(np.linalg.eigvalsh(state.matrix)[0])
-    if low < 0.0:
-        uniform = np.asarray(sphere_moment_vector(n, 2 * level))
-        low_u = float(np.linalg.eigvalsh(
-            MaxSymMatrix(n, level, uniform).matrix)[0])
-        s = -low * 1.02 / (low_u - low)
-        state = MaxSymMatrix(n, level, (1.0 - s) * state.vec + s * uniform)
-    return state

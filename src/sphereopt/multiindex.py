@@ -15,10 +15,8 @@ rows (or sums of them) to their row in that array in closed form.  Within
 one degree the x1-major order is descending tuple order, the order in which
 ``HomoPoly.catalog_terms`` lists a polynomial's terms.
 
-Production code works exclusively in number-state coordinates and never
-touches the n^l-dimensional product space.  The dense constructions at the
-bottom of this module (explicit symmetrizer, explicit number-state vectors)
-are brute-force oracles for tests and are guarded to small sizes.
+The package works exclusively in number-state coordinates and never
+touches the n^l-dimensional product space.
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-# Storage guard for the dense product-space constructions: n^l entries per
-# vector, (n^l)^2 per matrix.
-DENSE_PRODUCT_CAP = 10_000
 
 
 def exponent_tuple(exponents, n=None, degree=None):
@@ -113,81 +107,3 @@ def catalog_rank(*exponents):
     for t in range(n - 1):
         rank += table[t][sum(s[..., t] for s in suffix)]
     return rank
-
-
-def _log_binom(a, b):
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def number_state_overlap(i, j, k):
-    """<i (x) j | k> for number states with |i| = |j| = l and |k| = 2l.
-
-    Zero unless i + j = k componentwise; otherwise
-    sqrt(prod_t C(k_t, i_t) / C(2l, l)), evaluated in log space so that the
-    binomials never overflow.  For fixed k the overlaps over all (i, j)
-    splits form a unit vector.
-    """
-    i = exponent_tuple(i)
-    level = sum(i)
-    j = exponent_tuple(j, len(i), level)
-    k = exponent_tuple(k, len(i), 2 * level)
-    if any(it + jt != kt for it, jt, kt in zip(i, j, k)):
-        return 0.0
-    log = -_log_binom(2 * level, level)
-    for it, kt in zip(i, k):
-        log += _log_binom(kt, it)
-    return math.exp(0.5 * log)
-
-
-def _check_dense_size(n, level):
-    size = n ** level
-    if size > DENSE_PRODUCT_CAP:
-        raise ValueError(
-            f"dense product space has {size} dimensions, exceeding the "
-            f"guard of {DENSE_PRODUCT_CAP}; dense constructions are "
-            "test oracles for small instances only")
-    return size
-
-
-def dense_number_state(mi):
-    """Explicit |mi> as a vector in the n^l product space (test oracle).
-
-    Basis order of (R^n)^{(x)l} is lexicographic in the factor labels, most
-    significant factor first.
-    """
-    mi = exponent_tuple(mi)
-    n = len(mi)
-    level = sum(mi)
-    size = _check_dense_size(n, level)
-    factorial = math.prod(map(math.factorial, mi))
-    coeff = math.exp(0.5 * (math.log(factorial) - math.lgamma(level + 1))) \
-        if level > 0 else 1.0
-    vec = np.zeros(size)
-    for pos, word in enumerate(itertools.product(range(n), repeat=level)):
-        counts = [0] * n
-        for w in word:
-            counts[w] += 1
-        if tuple(counts) == mi:
-            vec[pos] = coeff
-    return vec
-
-
-def dense_symmetrizer(n, level):
-    """Explicit symmetrizer (1/l!) sum_pi P_pi on (R^n)^{(x)l} (test oracle).
-
-    Cost grows like l! * n^l, so callers should stay well inside the size
-    guard.
-    """
-    size = _check_dense_size(n, level)
-    if level == 0:
-        return np.ones((1, 1))
-    words = np.array(list(itertools.product(range(n), repeat=level)),
-                     dtype=np.int64)
-    powers = n ** np.arange(level - 1, -1, -1, dtype=np.int64)
-    out = np.zeros((size, size))
-    cols = np.arange(size)
-    for perm in itertools.permutations(range(level)):
-        dest = words[:, perm] @ powers
-        out[dest, cols] += 1.0
-    out /= math.factorial(level)
-    return out

@@ -1,9 +1,9 @@
-"""Reference estimators: multistart local search and Monte-Carlo integration.
+"""Reference estimator: multistart local search on the sphere.
 
-These are deliberately independent of the relaxation machinery so they can
-serve as external checks on it.  The maximizer is a projected gradient
-ascent on the sphere with backtracking; it returns a certified-by-evaluation
-lower estimate of the true maximum.
+It is deliberately independent of the relaxation machinery so it can serve
+as an external check on it (the CLI's ``--oracle``).  The maximizer is a
+projected gradient ascent on the sphere with backtracking; it returns a
+certified-by-evaluation lower estimate of the true maximum.
 """
 
 from __future__ import annotations
@@ -80,40 +80,3 @@ def sphere_maximize(T, restarts=32, max_iterations=500, initial_step=0.1,
             best_val, best_x, best_conv = fx, x, converged
     return OracleResult(value=float(best_val), argmax=best_x,
                         restarts_used=restarts, converged=best_conv)
-
-
-def mc_sphere_integral(f, n, samples, seed=0, chunk=200_000):
-    """Monte-Carlo mean of f over the uniform sphere measure on S^{n-1}.
-
-    ``f`` receives a (m, n) batch of unit vectors and returns (m,) values.
-    Points are normalized standard Gaussians.  Returns (estimate,
-    standard_error); the error is the sample standard deviation over
-    sqrt(samples), zero for a constant integrand.
-    """
-    if samples < 1:
-        raise ValueError("need a positive sample count")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        pts = rng.standard_normal((m, n))
-        nrm = np.linalg.norm(pts, axis=1)
-        good = nrm > 1e-12
-        pts = pts[good] / nrm[good, None]
-        vals = np.asarray(f(pts), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += int(good.sum())
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    if done > 1:
-        var *= done / (done - 1)
-    return mean, (var / done) ** 0.5
-
-
-def mc_sphere_integral_poly(T, samples, seed=0):
-    """Monte-Carlo integral of a homogeneous polynomial over the sphere."""
-    return mc_sphere_integral(lambda X: evaluate(T, X), T.n, samples,
-                              seed=seed)

@@ -9,7 +9,9 @@ from number-state coordinates:
   sqrt(i!/(2a)!) alpha_i, so that <x|^{(x)2a} |Z> = T(x);
 * the p x p matrix view on the degree-a number-state basis is
   Z[i, j] = vec[i + j] * w(i, j), with w(i, j) the split overlap
-  <i (x) j | i + j> from :func:`sphereopt.multiindex.number_state_overlap`;
+
+      w(i, j) = <i (x) j | i + j> = sqrt(prod_t C(i_t + j_t, i_t) / C(2a, a));
+
 * evaluation satisfies <x|^{(x)a} Z |x>^{(x)a} = T(x), so positive
   semidefinite Z certify nonnegativity of T.
 
@@ -18,8 +20,7 @@ The single-system partial trace acts on number states as
     tr_1 |i><j| = (1/l) sum_t sqrt(i_t j_t) |i - e_t><j - e_t|
 
 and, composed with the encoding, realizes the Laplacian:
-Z_{Lap T} = d (d - 1) tr_1 Z_T for d = deg T.  Both facts are exercised by
-``laplacian_via_trace_check``.
+Z_{Lap T} = d (d - 1) tr_1 Z_T for d = deg T.
 
 Everything here is dense over the C(2a + n - 1, 2a) coefficient vector, never
 over the n^{2a} product space.
@@ -144,12 +145,6 @@ def homo_poly(n, degree, terms):
         if coeffs[mi] == 0.0:
             del coeffs[mi]
     return HomoPoly(n, degree, coeffs)
-
-
-def r2k_poly(n, k):
-    """(x_1^2 + ... + x_n^2)^k as a HomoPoly of degree 2k."""
-    one = homo_poly(n, 0, {(0,) * n: 1.0})
-    return multiply_r2(one, k)
 
 
 def evaluate(T, x):
@@ -301,13 +296,6 @@ class MaxSymMatrix:
         return cls(n=n, ell=ell, vec=vec)
 
 
-def poly_to_maxsym_matrix(T):
-    """Maximally symmetric matrix encoding of an even-degree polynomial."""
-    if T.degree % 2 != 0:
-        raise ValueError("matrix encoding needs an even-degree polynomial")
-    return MaxSymMatrix(n=T.n, ell=T.degree // 2, vec=poly_to_vector(T))
-
-
 def multiply_r2(T, k):
     """T * (x_1^2 + ... + x_n^2)^k; exact on coefficients."""
     if k < 0:
@@ -323,23 +311,6 @@ def multiply_r2(T, k):
                 nxt[key] = nxt.get(key, 0.0) + a
         cur = nxt
     return HomoPoly(T.n, T.degree + 2 * k, cur)
-
-
-def laplacian(T):
-    """sum_t d^2 T / dx_t^2, degree drops by two."""
-    if T.degree < 2:
-        raise ValueError("Laplacian needs degree at least two")
-    out = {}
-    for mi, a in T.coeffs.items():
-        for t, e in enumerate(mi):
-            if e >= 2:
-                key = mi[:t] + (e - 2,) + mi[t + 1:]
-                s = out.get(key, 0.0) + a * e * (e - 1)
-                if s == 0.0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return HomoPoly(T.n, T.degree - 2, out)
 
 
 @lru_cache(maxsize=None)
@@ -392,21 +363,3 @@ def partial_trace_sym(M, b):
         A = partial_trace_matrix(A, M.n, level)
         level -= 1
     return MaxSymMatrix.from_matrix(M.n, level, A)
-
-
-def laplacian_via_trace_check(T, tol=1e-10):
-    """Diagnostic: the trace route reproduces the Laplacian.
-
-    Compares the encoding of the Laplacian of T against d (d - 1) times the
-    single-system partial trace of the encoding of T, where d = deg T.
-    Returns True when the two matrices agree entrywise to ``tol`` relative
-    to their scale.
-    """
-    d = T.degree
-    if d < 2 or d % 2 != 0:
-        raise ValueError("check needs even degree >= 2")
-    Z = poly_to_maxsym_matrix(T)
-    traced = d * (d - 1) * partial_trace_matrix(Z.matrix, T.n, d // 2)
-    lhs = poly_to_maxsym_matrix(laplacian(T)).matrix
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(traced).max()))
-    return bool(np.abs(lhs - traced).max() <= tol * scale)

@@ -48,9 +48,9 @@ produce bitwise-identical iterates.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -111,20 +111,33 @@ def resolve_cond_ratio():
     return ratio
 
 
-@lru_cache(maxsize=None)
 def uniform_conditioning(n, level):
     """Eigenvalue ratio lambda_min / lambda_max of the uniform moment matrix.
 
     The uniform sphere measure gives the best conditioned feasible moment
     matrix, and its thin directions are structural: top-degree oscillating
     polynomials have tiny quadratic mean on the sphere but unit-scale
-    coordinates, so every feasible matrix is at least as thin there.  The
-    ratio decays like 2^{-level}, which puts a hard depth limit on what a
-    double-precision interior-point method can solve.
+    coordinates, so every feasible matrix is at least as thin there.
+
+    The ratio has a closed form.  The matrix int |x><x|^{(x)level} dx is
+    O(n)-invariant, so its eigenspaces are the harmonic layers r^{level-j}
+    H_j, j = level, level - 2, ... >= 0.  By Funk-Hecke it scales layer j by
+    a constant times int t^level P_j(t) (1 - t^2)^{(n-3)/2} dt, which
+    decreases in j.  The ratio of the top layer j = level to the bottom one
+    j = level mod 2 is
+
+        Gamma(floor(level/2) + 1) Gamma((level + n + level mod 2) / 2)
+            / Gamma(level + n/2),
+
+    evaluated through log-Gamma.  It decays like 2^{-level}, which puts a
+    hard depth limit on what a double-precision interior-point method can
+    solve.
     """
-    vec = np.array(sphere_moment_vector(n, 2 * level))
-    w = np.linalg.eigvalsh(MaxSymMatrix(n, level, vec).matrix)
-    return float(w[0] / w[-1])
+    if n < 2 or level < 0:
+        raise ValueError("need n >= 2 and level >= 0")
+    return math.exp(math.lgamma(level // 2 + 1)
+                    + math.lgamma((level + n + level % 2) / 2.0)
+                    - math.lgamma(level + n / 2.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,20 +20,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import binom, eval_gegenbauer
 
-from sphereopt.definetti import (definetti_trace_check,
-                                 p_from_q_coefficients, random_msym_state,
-                                 random_product_mixture, solve_and_report,
-                                 state_from_harmonic_density)
-from sphereopt.harmonics import (definetti_eps, funk_hecke_residual,
-                                 harmonic_decompose, lambda_coeff,
-                                 surface_area)
-from sphereopt.multiindex import (basis_catalog, dense_number_state,
-                                  sym_dimension)
+from sphereopt.definetti import solve_and_report
+from sphereopt.harmonics import definetti_eps, lambda_coeff, surface_area
+from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import (homo_poly, poly_to_maxsym_matrix,
-                               vector_to_poly)
+from sphereopt.polymat import homo_poly, vector_to_poly
 from sphereopt.reduction import canonicalize, gamma_factor, pullback_bounds
 from sphereopt.sdp import build_relaxation, solve_sdp
+
+from reference import (definetti_trace_check, dense_number_state,
+                       funk_hecke_residual, harmonic_decompose,
+                       p_from_q_coefficients, poly_to_maxsym_matrix,
+                       random_msym_state, random_product_mixture,
+                       state_from_harmonic_density)
 
 
 def _announce(capsys, ok, name, detail):

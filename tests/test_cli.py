@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sphereopt import cli, definetti, reduction, sdp
+from sphereopt import cli, definetti, polymat, reduction, sdp
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
                            ParseError, choose_level, load_json_input, main,
                            parse_poly)
@@ -64,6 +64,8 @@ def test_parse_poly_error_positions():
         parse_poly("x1^-2")
     with pytest.raises(ParseError, match="nonnegative integer"):
         parse_poly("x1^2.5")
+    with pytest.raises(ParseError, match="position 3: exponent must be"):
+        parse_poly("x1^1e400 + x2^2")  # the exponent overflows to inf
 
 
 def test_load_json_input_roundtrips_and_validates():
@@ -113,6 +115,13 @@ def test_choose_level_targets_half_error(monkeypatch):
                        match=r"level 2 has moment-body conditioning \d"):
         choose_level(3, 2, 512)
     assert choose_level(3, 1, 512) == 1
+
+
+def test_choose_level_builds_no_matrices(monkeypatch):
+    monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
+    polymat._pair_maps.cache_clear()
+    assert choose_level(4, 2, 2000) == 19
+    assert polymat._pair_maps.cache_info().currsize == 0
 
 
 def test_run_text_output_and_determinism():
@@ -289,6 +298,7 @@ def _forbid_solving(monkeypatch):
     (["--tol", "nan"], "tol"),
     (["--max-iterations", "0"], "iteration budget"),
     (["--max-p", "0"], "max_p"),
+    (["--oracle", "--seed", "-1"], "--seed"),
 ])
 def test_exit_code_on_bad_solver_settings(monkeypatch, extra, message):
     _forbid_solving(monkeypatch)
@@ -319,6 +329,15 @@ def test_exit_code_on_non_finite_coefficients(monkeypatch, tmp_path, source,
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("sphereopt: ") and message in err
+
+
+def test_huge_level_range_exits_on_the_size_guard(monkeypatch):
+    _forbid_solving(monkeypatch)
+    code, out, err = _run(["--poly", "x1^2*x2^2",
+                           "--level", "2..99999999999999"])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "level 99999999999999" in err and "guard" in err
 
 
 def test_size_guard_fires_before_homogenization_pads(monkeypatch):

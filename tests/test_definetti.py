@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.definetti import (BoundsReport, definetti_trace_check,
-                                 density_constant,
-                                 f1_distance_lower_estimate, lower_bound,
+from sphereopt.definetti import (BoundsReport, density_constant, lower_bound,
                                  measure_density, moment_matrix_of_density,
-                                 p_from_q_coefficients, product_state_vec,
-                                 random_msym_state, random_product_mixture,
-                                 reduced_state, solve_and_report,
-                                 state_from_harmonic_density, trace_distance)
-from sphereopt.harmonics import (definetti_eps, harmonic_decompose,
-                                 sphere_moment_vector)
+                                 reduced_state, solve_and_report)
+from sphereopt.harmonics import definetti_eps, sphere_moment_vector
 from sphereopt.multiindex import basis_catalog
-from sphereopt.oracle import mc_sphere_integral, sphere_maximize
+from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import MaxSymMatrix, homo_poly, vector_to_poly
 from sphereopt.sdp import build_relaxation
+
+from reference import (definetti_trace_check, f1_distance_lower_estimate,
+                       harmonic_decompose, mc_sphere_integral,
+                       p_from_q_coefficients, product_state_vec,
+                       random_msym_state, random_product_mixture,
+                       state_from_harmonic_density, trace_distance)
 
 
 def _unit(rng, n):

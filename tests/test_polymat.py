@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.multiindex import basis_catalog, dense_number_state
-from sphereopt.polymat import (MaxSymMatrix, evaluate, gradient,
-                               homo_poly, laplacian, laplacian_via_trace_check,
+from sphereopt.multiindex import basis_catalog
+from sphereopt.polymat import (MaxSymMatrix, evaluate, gradient, homo_poly,
                                multiply_r2, partial_trace_matrix,
-                               partial_trace_sym, poly_to_maxsym_matrix,
-                               poly_to_vector, r2k_poly, vector_to_poly)
+                               partial_trace_sym, poly_to_vector,
+                               vector_to_poly)
+
+from reference import (dense_number_state, laplacian,
+                       laplacian_via_trace_check, poly_to_maxsym_matrix,
+                       r2k_poly)
 
 
 def _random_poly(n, degree, seed):

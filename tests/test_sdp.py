@@ -7,10 +7,12 @@ from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import _pair_maps, evaluate, homo_poly, vector_to_poly
 from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError,
                            SolverError, STATUS_MAX_ITERATIONS,
-                           STATUS_OPTIMAL, build_relaxation,
+                           STATUS_OPTIMAL, build_relaxation, check_level,
                            extract_sos_certificate, resolve_cond_ratio,
                            resolve_max_p, solve_sdp, uniform_conditioning,
                            _schur_matrix)
+
+from reference import dense_uniform_conditioning, lambda_ratio
 
 
 def _random_poly(n, degree, seed, normalize=True):
@@ -97,6 +99,8 @@ def test_conditioning_guard(monkeypatch):
         resolve_cond_ratio()
     monkeypatch.setenv(COND_RATIO_ENV, "0")
     assert build_relaxation(T, 30).p == 31  # zero switches the floor off
+    # where a dense eigensolve rounds lambda_min below zero
+    check_level(2, 54)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -118,6 +122,24 @@ def test_uniform_conditioning_decays_exponentially():
         assert hi / lo == pytest.approx(0.25, rel=0.1)
     assert uniform_conditioning(3, 19) > 5e-6
     assert uniform_conditioning(3, 20) < 5e-6
+
+
+def test_uniform_conditioning_matches_dense_reference():
+    eps = np.finfo(float).eps
+    for n in range(2, 7):
+        level = 0
+        # below a ratio of 1e-7 the dense eigensolve, not the closed form,
+        # is the inaccurate one
+        while (sym_dimension(n, level) <= 500
+               and uniform_conditioning(n, level) >= 1e-7):
+            # the dense lambda_min is good to a few ulps of lambda_max
+            assert uniform_conditioning(n, level) == pytest.approx(
+                dense_uniform_conditioning(n, level), rel=1e-9, abs=8 * eps)
+            if level % 2 == 0:
+                assert uniform_conditioning(n, level) == pytest.approx(
+                    lambda_ratio(n, level // 2, level), rel=1e-12)
+            level += 1
+        assert level >= 7
 
 
 def test_objective_encoding_pairs_against_moment_matrix():
