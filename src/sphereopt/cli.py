@@ -237,8 +237,8 @@ def choose_level(n, a, max_p):
     Starts at the base level a and climbs while the bound exceeds one half
     and :func:`sphereopt.sdp.check_level` accepts the next level, up to
     ``MAX_AUTO_LEVEL``; so it falls back to the deepest level within the
-    size guard and the conditioning floor.  Raises ResourceGuardError when
-    even the base level is out of reach.
+    size guard, the Schur-memory guard and the conditioning floor.  Raises
+    ResourceGuardError when even the base level is out of reach.
     """
     check_level(n, a, max_p)
     level = a

@@ -109,21 +109,6 @@ class HomoPoly:
             self._cache["arrays"] = got
         return got
 
-    def _grad_arrays(self):
-        got = self._cache.get("grad")
-        if got is None:
-            E, C = self._arrays()
-            per_var = []
-            for t in range(self.n):
-                mask = E[:, t] > 0
-                Et = E[mask].copy()
-                Ct = C[mask] * Et[:, t]
-                Et[:, t] -= 1
-                per_var.append((Et, Ct))
-            got = tuple(per_var)
-            self._cache["grad"] = got
-        return got
-
 
 def homo_poly(n, degree, terms):
     """Build a HomoPoly from a mapping of exponent tuples to coefficients.
@@ -147,30 +132,64 @@ def homo_poly(n, degree, terms):
     return HomoPoly(n, degree, coeffs)
 
 
-def evaluate(T, x):
-    """Evaluate T at a point (n,) or a batch (..., n) of points."""
+def _power_table(T, x):
+    """Powers P[..., t, e] = x_t^e, e = 0..degree, of points x (..., n).
+
+    Built by repeated multiplication, so the factor x_t^e of any term is a
+    lookup.
+    """
     X = np.asarray(x, dtype=float)
     if X.ndim == 0 or X.shape[-1] != T.n:
         raise ValueError(f"point must have {T.n} coordinates")
+    P = np.empty(X.shape + (T.degree + 1,))
+    P[..., 0] = 1.0
+    for e in range(1, T.degree + 1):
+        P[..., e] = P[..., e - 1] * X
+    return P
+
+
+def _row_sums(A):
+    """Sums over the last axis, added term by term in order.
+
+    numpy's own sum picks its summation order by the array's shape, so a
+    row summed alone can differ in the last bit from the same row summed in
+    a batch; a running sum cannot.
+    """
+    if not A.shape[-1]:
+        return np.zeros(A.shape[:-1])
+    return np.cumsum(A, axis=-1)[..., -1]
+
+
+def evaluate(T, x):
+    """Evaluate T at a point (n,) or a batch (..., n) of points.
+
+    Each point is reduced on its own, with no matrix product across the
+    batch, so a point's value does not depend on the batch it comes in.
+    """
+    P = _power_table(T, x)
     E, C = T._arrays()
-    if len(C) == 0:
-        out = np.zeros(X.shape[:-1])
-        return float(out) if out.ndim == 0 else out
-    monos = np.prod(X[..., None, :] ** E, axis=-1)
-    out = monos @ C
+    rows = np.arange(T.n)[:, None]
+    monos = np.prod(P[..., rows, E.T], axis=-2)
+    out = _row_sums(monos * C)
     return float(out) if out.ndim == 0 else out
 
 
 def gradient(T, x):
-    """Gradient of T at a single point x, shape (n,)."""
-    X = np.asarray(x, dtype=float)
-    if X.shape != (T.n,):
-        raise ValueError(f"point must have {T.n} coordinates")
-    g = np.zeros(T.n)
-    for t, (Et, Ct) in enumerate(T._grad_arrays()):
-        if len(Ct):
-            g[t] = np.prod(X[None, :] ** Et, axis=-1) @ Ct
-    return g
+    """Gradient of T at a point (n,) or a batch (..., n) of points.
+
+    Term c x^e contributes c e_t x_t^(e_t - 1) prod_{s != t} x_s^(e_s) to
+    coordinate t; the products over s < t and s > t come from running
+    products, so no (..., n, terms, n) array is formed.  Each point is
+    reduced on its own, as in :func:`evaluate`.
+    """
+    P = _power_table(T, x)
+    E, C = T._arrays()
+    rows = np.arange(T.n)[:, None]
+    F = P[..., rows, E.T]
+    dF = E.T * P[..., rows, np.maximum(E.T - 1, 0)]
+    dF[..., 1:, :] *= np.cumprod(F[..., :-1, :], axis=-2)
+    dF[..., :-1, :] *= np.cumprod(F[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    return _row_sums(dF * C)
 
 
 @lru_cache(maxsize=None)

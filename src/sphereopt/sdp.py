@@ -65,6 +65,11 @@ MAX_P_ENV = "SPHEREOPT_MAX_P"
 DEFAULT_MIN_COND_RATIO = 5e-6
 COND_RATIO_ENV = "SPHEREOPT_COND_RATIO"
 
+# q x q float64 matrices one solve holds at its peak: the Schur matrix, its
+# equilibrated copy and their Cholesky factor in _factor_schur, while
+# solve_sdp still holds the previous iteration's factor.
+SCHUR_COPIES = 4
+
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
@@ -109,6 +114,18 @@ def resolve_cond_ratio():
         raise ValueError(
             f"{COND_RATIO_ENV} must be a finite number >= 0, got {ratio!r}")
     return ratio
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not tell."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if pages <= 0 or page <= 0:
+        return None
+    return pages * page
 
 
 def uniform_conditioning(n, level):
@@ -221,8 +238,10 @@ def check_level(n, level, max_p=None):
     """Raise ResourceGuardError unless the level is affordable in n variables.
 
     The matrix side p = C(level + n - 1, level) must stay within the size
-    guard (:func:`resolve_max_p`), and the moment-body conditioning above
-    the floor where double precision still solves reliably
+    guard (:func:`resolve_max_p`); the ``SCHUR_COPIES`` dense q x q
+    matrices of the solve, q = C(2 level + n - 1, 2 level), must fit in
+    physical memory; and the moment-body conditioning must stay above the
+    floor where double precision still solves reliably
     (:func:`resolve_cond_ratio`; in practice n = 2 stops at level 20 and
     n = 3 at level 19, while for n >= 4 the size guard binds first).
     """
@@ -232,6 +251,15 @@ def check_level(n, level, max_p=None):
         raise ResourceGuardError(
             f"level {level} needs matrices of side {p}, above the guard "
             f"{cap}; raise {MAX_P_ENV} to override")
+    q = sym_dimension(n, 2 * level)
+    need = SCHUR_COPIES * 8 * q * q
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ResourceGuardError(
+            f"level {level} needs {SCHUR_COPIES} matrices of side {q} for "
+            f"its Schur solve ({need / 2**30:.1f} GiB), above the "
+            f"{memory / 2**30:.1f} GiB of physical memory; choose a lower "
+            f"level")
     floor = resolve_cond_ratio()
     ratio = uniform_conditioning(n, level)
     if ratio < floor:

@@ -13,6 +13,7 @@ the tests instead of shipping with the package:
   polynomials, kernel-coefficient ratios and their gap bounds, monomial
   moments, the harmonic decomposition and the Funk-Hecke identity;
 * Monte-Carlo sphere integration;
+* the sequential local search that the lock-step oracle replaced;
 * de Finetti checks: trace distances, the trace-norm and polynomial-pairing
   distances between a reduction and its measure reconstruction, the signed
   density with an exact moment matrix, and random states;
@@ -35,9 +36,10 @@ from sphereopt.definetti import (_sum_index_map, measure_density,
 from sphereopt.harmonics import (_moment_cached, lambda_coeff, moment_table,
                                  sphere_moment_vector, surface_area)
 from sphereopt.multiindex import basis_catalog, exponent_tuple, sym_dimension
-from sphereopt.oracle import _restart_rng, sphere_maximize
+from sphereopt.oracle import OracleResult, _restart_rng, sphere_maximize
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
-                               _vec_scale, evaluate, homo_poly, multiply_r2,
+                               _vec_scale, evaluate, gradient, homo_poly,
+                               multiply_r2,
                                partial_trace_matrix, poly_to_vector,
                                vector_to_poly)
 
@@ -375,6 +377,64 @@ def mc_sphere_integral_poly(T, samples, seed=0):
     """Monte-Carlo integral of a homogeneous polynomial over the sphere."""
     return mc_sphere_integral(lambda X: evaluate(T, X), T.n, samples,
                               seed=seed)
+
+
+# The sequential local search, one restart at a time with a fixed first
+# trial step, as the oracle ran before its lock-step batch.
+
+def sequential_sphere_maximize(T, restarts=32, max_iterations=500,
+                               initial_step=0.1, seed=0):
+    """Estimate max of T over the unit sphere by multistart projected ascent.
+
+    Each restart draws a uniform starting point from its own child seed (so
+    results for a given restart index never depend on the total restart
+    count), then iterates x <- normalize(x + eta grad T), halving eta from
+    ``initial_step`` until the objective improves.  A restart stops when no
+    improving step exists, when the move is below 1e-12, or after
+    ``max_iterations`` iterations; the convergence flag of the best restart
+    is reported.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    best_val = -np.inf
+    best_x = None
+    best_conv = False
+    for r in range(restarts):
+        rng = _restart_rng(seed, r)
+        x = rng.standard_normal(T.n)
+        nrm = np.linalg.norm(x)
+        while nrm < 1e-12:
+            x = rng.standard_normal(T.n)
+            nrm = np.linalg.norm(x)
+        x = x / nrm
+        fx = evaluate(T, x)
+        converged = False
+        for _ in range(max_iterations):
+            g = gradient(T, x)
+            eta = initial_step
+            xn, fn = None, None
+            while eta > 1e-14:
+                cand = x + eta * g
+                nrm = np.linalg.norm(cand)
+                if nrm > 0.0:
+                    cand = cand / nrm
+                    val = evaluate(T, cand)
+                    if val > fx:
+                        xn, fn = cand, val
+                        break
+                eta *= 0.5
+            if xn is None:
+                converged = True
+                break
+            small = np.linalg.norm(xn - x) < 1e-12
+            x, fx = xn, fn
+            if small:
+                converged = True
+                break
+        if fx > best_val:
+            best_val, best_x, best_conv = fx, x, converged
+    return OracleResult(value=float(best_val), argmax=best_x,
+                        restarts_used=restarts, converged=best_conv)
 
 
 # de Finetti checks and random states.

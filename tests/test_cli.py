@@ -340,6 +340,22 @@ def test_huge_level_range_exits_on_the_size_guard(monkeypatch):
     assert "level 99999999999999" in err and "guard" in err
 
 
+def test_schur_memory_guard_exits_before_any_work(monkeypatch):
+    _forbid_solving(monkeypatch)
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 16 * 2**30)
+    quartic = "x1^4 + x2^4 + x3^4 + x4^4 + x5^4"
+    code, out, err = _run(["--poly", quartic, "--max-p", "5000",
+                           "--level", "16"])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "level 16" in err and "physical memory" in err
+    # the automatic climb stops at the deepest level that fits: level 12
+    # has q = C(28, 4) = 20475, level 13 has q = 27405
+    assert choose_level(5, 2, 5000) == 12
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
+    assert choose_level(5, 2, 5000) == 16
+
+
 def test_size_guard_fires_before_homogenization_pads(monkeypatch):
     _forbid_solving(monkeypatch)
     monkeypatch.setattr(reduction, "multiply_r2", _never)

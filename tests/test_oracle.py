@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sphereopt import oracle
 from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import evaluate, homo_poly, vector_to_poly
 
-from reference import mc_sphere_integral, mc_sphere_integral_poly, r2k_poly
+from reference import (mc_sphere_integral, mc_sphere_integral_poly, r2k_poly,
+                       sequential_sphere_maximize)
 
 
 def _random_poly(n, degree, seed):
@@ -63,6 +67,70 @@ def test_sphere_maximize_validates_restarts():
     T = r2k_poly(2, 1)
     with pytest.raises(ValueError):
         sphere_maximize(T, restarts=0)
+
+
+@pytest.mark.parametrize("n,degree", [(4, 4), (3, 6), (2, 3), (6, 2)])
+def test_restart_trajectory_does_not_depend_on_its_batch(n, degree):
+    T = _random_poly(n, degree, 40 + n)
+    unit = T.scaled(oracle._unit_scale(T))
+    starts = np.array([oracle._start_point(n, 3, r) for r in range(16)])
+    X, fx, conv = oracle._ascend(unit, starts, 500, 0.1)
+    Xb, fxb, convb = oracle._ascend(unit, starts[::-1], 500, 0.1)
+    assert np.array_equal(X, Xb[::-1]) and np.array_equal(fx, fxb[::-1])
+    assert np.array_equal(conv, convb[::-1])
+    for r in range(16):
+        Xr, fr, cr = oracle._ascend(unit, starts[r:r + 1], 500, 0.1)
+        assert np.array_equal(Xr[0], X[r])
+        assert fr[0] == fx[r] and cr[0] == conv[r]
+
+
+def _unit_form(n, degree, seed):
+    T = _random_poly(n, degree, seed)
+    return T.scaled(1.0 / sum(abs(c) for c in T.coeffs.values()))
+
+
+def test_sphere_maximize_never_below_the_sequential_ascent():
+    # Forms of unit l1 norm, as the benchmark draws them.  The sequential
+    # ascent's steps grow with the form's scale: on forms whose l1 norm is
+    # hundreds of times their maximum, its first steps jump out of the
+    # start's basin, and there either ascent can end higher.
+    for n in range(2, 7):
+        for degree in range(2, 7):
+            T = _unit_form(n, degree, 10 * n + degree)
+            new = sphere_maximize(T, restarts=8, seed=1)
+            old = sequential_sphere_maximize(T, restarts=8, seed=1)
+            assert new.converged, (n, degree)
+            assert new.value >= old.value - 1e-12, (n, degree)
+
+
+def test_sphere_maximize_is_scale_free():
+    # the benchmark's cli-cold n=5 quartic (seed 1, round 0)
+    T = _unit_form(5, 4, np.random.SeedSequence([1, 0, 5]))
+    base = sphere_maximize(T, restarts=8)
+    assert base.converged
+    for scale in (1e-12, 1e12):
+        res = sphere_maximize(T.scaled(scale), restarts=8)
+        assert res.converged
+        assert res.value / scale == pytest.approx(base.value, rel=1e-9)
+    # powers of two scale exactly, so the same points are found
+    for k in (-40, 40):
+        res = sphere_maximize(T.scaled(2.0 ** k), restarts=8)
+        assert np.array_equal(res.argmax, base.argmax)
+        assert res.value == 2.0 ** k * base.value
+
+
+def _peak_bytes(T, restarts):
+    tracemalloc.start()
+    try:
+        sphere_maximize(T, restarts=restarts, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sphere_maximize_memory_does_not_grow_with_restarts():
+    T = _random_poly(3, 4, 8)
+    assert _peak_bytes(T, 4096) <= 2 * _peak_bytes(T, 32)
 
 
 def test_mc_sphere_integral_constant_and_coordinate():

@@ -87,6 +87,30 @@ def test_gradient_matches_finite_differences():
         assert g[t] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+def test_batched_kernels_match_points_and_termwise_derivative():
+    rng = np.random.default_rng(12)
+    for n, degree in ((1, 3), (3, 4), (5, 2), (4, 0), (9, 3)):
+        T = _random_poly(n, degree, n + degree)
+        X = rng.standard_normal((2, 3, n))
+        F, G = evaluate(T, X), gradient(T, X)
+        assert F.shape == (2, 3) and G.shape == (2, 3, n)
+        for idx in np.ndindex(2, 3):
+            # a point's result does not depend on the batch around it
+            assert F[idx] == evaluate(T, X[idx])
+            assert np.array_equal(G[idx], gradient(T, X[idx]))
+            want = np.zeros(n)
+            for e, c in T.coeffs.items():
+                for t in range(n):
+                    if e[t]:
+                        f = np.array(e)
+                        f[t] -= 1
+                        want[t] += c * e[t] * np.prod(X[idx] ** f)
+            assert G[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    zero = homo_poly(3, 4, {})
+    assert np.array_equal(evaluate(zero, np.ones((2, 3))), np.zeros(2))
+    assert np.array_equal(gradient(zero, np.ones((2, 3))), np.zeros((2, 3)))
+
+
 def test_r2k_poly_is_one_on_sphere():
     rng = np.random.default_rng(2)
     for n, k in ((2, 3), (4, 2)):

@@ -5,8 +5,9 @@ import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import _pair_maps, evaluate, homo_poly, vector_to_poly
-from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, ResourceGuardError,
-                           SolverError, STATUS_MAX_ITERATIONS,
+from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, SCHUR_COPIES,
+                           ResourceGuardError, SolverError,
+                           STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation, check_level,
                            extract_sos_certificate, resolve_cond_ratio,
                            resolve_max_p, solve_sdp, uniform_conditioning,
@@ -101,6 +102,25 @@ def test_conditioning_guard(monkeypatch):
     assert build_relaxation(T, 30).p == 31  # zero switches the floor off
     # where a dense eigensolve rounds lambda_min below zero
     check_level(2, 54)
+
+
+def test_schur_memory_guard(monkeypatch):
+    # level 16 in five variables: q = C(36, 4) = 58905, 103 GiB in 4 copies
+    q = sym_dimension(5, 32)
+    need = SCHUR_COPIES * 8 * q * q
+    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ResourceGuardError, match="physical memory"):
+        check_level(5, 16, 5000)
+    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: need)
+    check_level(5, 16, 5000)
+    # where the platform does not report its memory, the guard is skipped
+    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: None)
+    check_level(5, 16, 5000)
+
+
+def test_physical_memory_reader():
+    memory = sdp_module._physical_memory()
+    assert memory is None or (isinstance(memory, int) and memory > 0)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
