@@ -5,9 +5,17 @@ even homogeneous problem, runs one or more relaxation levels, and prints
 certified two-sided bounds, optionally with a sum-of-squares certificate
 and a local-search comparison value.
 
+``--level L`` and ``--level LO..HI`` solve the levels asked for.  Without
+``--level`` the level is adaptive: the climb solves the base level, reads
+candidate maximizers off the optimal state, and stops once the value of
+the best one is within the solver's gap rule of the upper bound;
+otherwise it solves deeper levels up to :func:`choose_level`.  Its report
+adds the point's value to the lower bound, and the fields
+``density_lower``, ``maximizer``, ``window_closed`` and ``levels_solved``.
+
 Output is deterministic: the same invocation produces byte-identical
 output, floats are rendered with repr-faithful precision, and JSON mode
-emits one object per level on its own line.
+emits one object per level on its own line (one for the automatic level).
 
 Exit codes: 0 success, 2 malformed input or arguments, 3 solver did not
 reach an optimal status, 4 problem size above the resource guard.
@@ -17,13 +25,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
-from .definetti import solve_and_report
+import numpy as np
+
+from .definetti import candidate_points, solve_and_report
 from .harmonics import definetti_eps
-from .oracle import sphere_maximize
-from .reduction import canonicalize, pullback_bounds, solve_shape
+from .oracle import polish, sphere_maximize
+from .polymat import evaluate
+from .reduction import (canonicalize, pullback_bounds, pullback_points,
+                        solve_shape)
 from .sdp import (MAX_P_ENV, ResourceGuardError, SolverError, STATUS_OPTIMAL,
                   build_relaxation, check_level, check_solve_options,
                   extract_sos_certificate, resolve_max_p)
@@ -232,13 +245,15 @@ def _poly_str(T, names):
 
 
 def choose_level(n, a, max_p):
-    """Smallest level whose a priori error bound is at most one half.
+    """Top of the automatic climb: the least level with a priori eps <= 1/2.
 
     Starts at the base level a and climbs while the bound exceeds one half
     and :func:`sphereopt.sdp.check_level` accepts the next level, up to
     ``MAX_AUTO_LEVEL``; so it falls back to the deepest level within the
     size guard, the Schur-memory guard and the conditioning floor.  Raises
-    ResourceGuardError when even the base level is out of reach.
+    ResourceGuardError when even the base level is out of reach.  The CLI
+    solves this level only when no lower level of the climb closes the
+    window.
     """
     check_level(n, a, max_p)
     level = a
@@ -302,13 +317,19 @@ def _parse_level_spec(spec, a):
     return range(lo, hi + 1)
 
 
-def _report_payload(report, record, oracle_result, certificate):
+def _report_payload(report, record, oracle_result, certificate, climb=None):
     payload = {
         "n": report.n,
         "degree": report.degree,
         "level": report.level,
         "nu_upper": report.nu_upper,
         "nu_lower": report.nu_lower,
+    }
+    if climb is not None:
+        # the point bound raises nu_lower; the density bound keeps its own
+        # field
+        payload.update(climb)
+    payload.update({
         "eps": report.eps,
         "eps_valid": report.eps_valid,
         "duality_gap": report.duality_gap,
@@ -317,10 +338,10 @@ def _report_payload(report, record, oracle_result, certificate):
         "tol": report.tol,
         "lifted": record.lifted,
         "gamma": record.gamma,
-        # the probability density certifying nu_lower, in the solved
-        # (possibly lifted) variables
+        # the probability density certifying the density bound, in the
+        # solved (possibly lifted) variables
         "density": _poly_terms_json(report.density.poly),
-    }
+    })
     if oracle_result is None:
         payload["oracle_value"] = None
         payload["argmax"] = None
@@ -349,6 +370,13 @@ def _print_text(payload, record, certificate, out):
     line("lower bound", _fmt_float(payload["nu_lower"]))
     width = payload["nu_upper"] - payload["nu_lower"]
     line("window", _fmt_float(width))
+    if "levels_solved" in payload:
+        line("density bound", _fmt_float(payload["density_lower"]))
+        point = payload["maximizer"]
+        line("maximizer", "none" if point is None
+             else " ".join(_fmt_float(v) for v in point))
+        line("window closed", "yes" if payload["window_closed"] else "no")
+        line("levels solved", " ".join(map(str, payload["levels_solved"])))
     eps_note = "valid" if payload["eps_valid"] else "not yet valid"
     line("a priori eps", f"{_fmt_float(payload['eps'])} ({eps_note})")
     line("duality gap", _fmt_float(payload["duality_gap"]))
@@ -367,6 +395,80 @@ def _print_text(payload, record, certificate, out):
         for k, (w, poly) in enumerate(certificate):
             line(f"  square {k}",
                  f"{_fmt_float(w)} * ({_poly_str(poly, names)})^2")
+
+
+def _solve(problem, record, args):
+    report, solution = solve_and_report(problem, tol=args.tol,
+                                        max_iterations=args.max_iterations)
+    return pullback_bounds(record, report), solution
+
+
+def _closes(upper, value, tol):
+    """The solver's own gap rule, applied to the window above a point."""
+    return upper - value <= tol * max(1.0, abs(upper))
+
+
+def _best_point(record, M, upper, tol):
+    """(value, point): the best original-sphere point an optimal state gives.
+
+    The candidates are the eigenvectors of the level-1 reduction of M
+    (:func:`sphereopt.definetti.candidate_points`), valued with the
+    original polynomial; they are polished by tangent ascent only when
+    none of them closes the window under ``upper``.
+    """
+    T = record.original
+    X = pullback_points(record, candidate_points(M))
+    values = evaluate(T, X)
+    if not _closes(upper, values.max(), tol):
+        X, values = polish(T, X)
+    k = int(np.argmax(values))
+    return float(values[k]), [float(v) for v in X[k]]
+
+
+def _next_level(level, top):
+    """Double while a further doubling stays within top, then jump to top.
+
+    Solve time grows about as level^6 at n = 3, so the levels below the top
+    cost little beside it: from 2 to 19 the climb is 2, 4, 8, 19, by that
+    model 1.006 solves at 19 (plain doubling, 2, 4, 8, 16, 19, is 1.36).
+    """
+    return 2 * level if 4 * level <= top else top
+
+
+def _climb(problem, top, record, args, max_p):
+    """Solve from the base level up to ``top`` until a point closes the window.
+
+    After each optimal solve, the best point read off the state gives the
+    lower bound T(point); the climb stops once it is within the solver's
+    gap rule of the upper bound, at a solve that is not optimal, at
+    ``top``, or at a level the guards or the padding refuse.  Returns the
+    last level's (report, solution) and the fields the climb adds to its
+    payload.
+    """
+    levels = []
+    value, point, closed = -math.inf, None, False
+    while True:
+        report, solution = _solve(problem, record, args)
+        levels.append(problem.ell)
+        if solution.status != STATUS_OPTIMAL:
+            break
+        found = _best_point(record, solution.M_star, report.nu_upper,
+                            args.tol)
+        if found[0] > value:
+            value, point = found
+        closed = _closes(report.nu_upper, value, args.tol)
+        if closed or problem.ell == top:
+            break
+        try:
+            problem = build_relaxation(record.solve_target,
+                                       _next_level(problem.ell, top),
+                                       max_p=max_p)
+        except (ResourceGuardError, ValueError):
+            break
+    climb = {"nu_lower": max(report.nu_lower, value),
+             "density_lower": report.nu_lower, "maximizer": point,
+             "window_closed": closed, "levels_solved": levels}
+    return report, solution, climb
 
 
 def run(args, out=None, err=None):
@@ -405,9 +507,11 @@ def run(args, out=None, err=None):
     try:
         # Padding the terms to one degree makes about as many terms as the
         # base level has rows, so the guards run first, on the deepest
-        # level, and a bad range fails fast.
+        # level, and a bad range fails fast.  The automatic climb builds
+        # its levels above the base one as it reaches them.
         if args.level is None:
-            levels = [choose_level(solve_n, a, max_p)]
+            top = choose_level(solve_n, a, max_p)
+            levels = [a]
         else:
             levels = _parse_level_spec(args.level, a)
             check_level(solve_n, levels[-1], max_p)
@@ -434,17 +538,19 @@ def run(args, out=None, err=None):
         while problems:
             # popped, so a solved level's matrices are freed with its
             # solution
-            report, solution = solve_and_report(
-                problems.pop(0), tol=args.tol,
-                max_iterations=args.max_iterations)
-            report = pullback_bounds(record, report)
+            climb = None
+            if args.level is None:
+                report, solution, climb = _climb(problems.pop(0), top,
+                                                 record, args, max_p)
+            else:
+                report, solution = _solve(problems.pop(0), record, args)
             if args.oracle:
                 report = report.with_oracle(oracle_result.value)
             certificate = None
             if args.certificate and solution.status == STATUS_OPTIMAL:
                 certificate = extract_sos_certificate(solution)
             payload = _report_payload(report, record, oracle_result,
-                                      certificate)
+                                      certificate, climb)
             blocks.append((payload, certificate))
             if solution.status != STATUS_OPTIMAL:
                 code = EXIT_SOLVER

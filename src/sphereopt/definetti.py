@@ -125,6 +125,20 @@ def reduced_state(M, a):
     return partial_trace_sym(M, M.ell - a)
 
 
+def candidate_points(M):
+    """Unit eigenvectors of the level-1 reduction of a state, as rows.
+
+    The level-1 reduction is the second-moment matrix of the state.  When
+    an optimal state is the moment matrix of a measure on k antipodal pairs
+    of maximizers (rank k), those maximizers span its range; for k = 1 the
+    top eigenvector is a maximizer itself (Henrion & Lasserre, "Detecting
+    global optimality and extracting solutions in GloptiPoly", 2005).
+    Rows come top eigenvalue first.
+    """
+    _, V = np.linalg.eigh(reduced_state(M, 1).matrix)
+    return V[:, ::-1].T
+
+
 def lower_bound(T, density):
     """Average of T against a probability density on the sphere.
 

@@ -19,7 +19,8 @@ shows
 
 where max |T| = max T because odd polynomials take opposite values at
 antipodes.  Bounds computed for the lifted problem therefore pull back
-exactly by dividing by gamma(a).
+exactly by dividing by gamma(a), and a point (x_0, x) of the lifted sphere
+pulls back to sign(x_0) x / |x|.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .multiindex import exponent_tuple
 from .polymat import HomoPoly, homo_poly, multiply_r2
@@ -130,6 +133,22 @@ def canonicalize(n, terms):
     a = (original.degree + 1) // 2
     return ReductionRecord(original=original, solve_target=lift_odd(original),
                            lifted=True, gamma=gamma_factor(a))
+
+
+def pullback_points(record, Z):
+    """Unit points of the original sphere from rows of solved-variable points.
+
+    A lifted row (x_0, x) maps to u = sign(x_0) x / |x|: T is odd of degree
+    2a - 1, so x_0 T(x) = |x_0| |x|^(2a - 1) T(u), and the lift is large
+    at (x_0, x) only where T is large at u.  Rows with x = 0 carry no
+    direction and are dropped.
+    """
+    if not record.lifted:
+        return Z
+    X = np.where(Z[:, :1] < 0.0, -Z[:, 1:], Z[:, 1:])
+    norms = np.linalg.norm(X, axis=1)
+    keep = norms > 0.0
+    return X[keep] / norms[keep, None]
 
 
 def pullback_bounds(record, report):

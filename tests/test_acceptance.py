@@ -11,6 +11,8 @@ through the SPHEREOPT_ACCEPT5_LEVEL environment variable on machines
 where the default is too expensive.
 """
 
+import io
+import json
 import math
 import os
 import time
@@ -20,6 +22,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import binom, eval_gegenbauer
 
+from sphereopt import cli
 from sphereopt.definetti import solve_and_report
 from sphereopt.harmonics import definetti_eps, lambda_coeff, surface_area
 from sphereopt.multiindex import basis_catalog, sym_dimension
@@ -433,5 +436,43 @@ def test_10_solver_gap_and_determinism(capsys):
     _announce(capsys, ok, "10 solver gap and determinism",
               f"{len(corpus)} instances with side <= 100, worst gap = "
               f"{worst_gap:.2e}, most iterations = {most_iters}, "
+              f"{elapsed:.1f}s")
+    assert not failures, failures[:3]
+
+
+def test_11_auto_level_closes_ternary_quartics(capsys, tmp_path):
+    # Hilbert: t r^4 - T is a sum of squares at t = max T for ternary
+    # quartics, so the automatic level stops at the base level 2 with a
+    # maximizer whose value meets the upper bound; the level-19 corpus of
+    # test 05 serves as input
+    t0 = time.perf_counter()
+    failures = []
+    window = 0.0
+    for k in range(20):
+        T = _random_poly(3, 4, 500 + k)
+        path = tmp_path / f"quartic{k}.json"
+        path.write_text(json.dumps({"n": 3, "terms": [
+            {"coeff": c, "exps": list(e)} for e, c in T.coeffs.items()]}),
+            encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(cli._build_parser().parse_args(
+            ["--input", str(path), "--oracle", "--format", "json"]),
+            out=out, err=err)
+        payload = json.loads(out.getvalue())
+        lo, hi = payload["nu_lower"], payload["nu_upper"]
+        if code != 0 or payload["levels_solved"] != [2]:
+            failures.append(f"instance {k}: exit {code}, levels "
+                            f"{payload['levels_solved']}")
+        elif not payload["window_closed"]:
+            failures.append(f"instance {k}: window {hi - lo:.3e} open")
+        elif not lo - 1e-9 <= payload["oracle_value"] <= hi + 1e-9:
+            failures.append(f"instance {k}: sandwich {lo:.10f} <= "
+                            f"{payload['oracle_value']:.10f} <= {hi:.10f} "
+                            "broken")
+        window = max(window, hi - lo)
+    elapsed = time.perf_counter() - t0
+    ok = not failures
+    _announce(capsys, ok, "11 auto level closes ternary quartics",
+              f"20 quartics closed at level 2, max window = {window:.3e}, "
               f"{elapsed:.1f}s")
     assert not failures, failures[:3]

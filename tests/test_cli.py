@@ -3,9 +3,10 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from sphereopt import cli, definetti, polymat, reduction, sdp
+from sphereopt import cli, definetti, oracle, polymat, reduction, sdp
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
                            ParseError, choose_level, load_json_input, main,
                            parse_poly)
@@ -367,10 +368,11 @@ def test_size_guard_fires_before_homogenization_pads(monkeypatch):
 
 
 def test_padded_overflow_exits_before_any_solve(monkeypatch):
-    # finite coefficients that overflow once padded to the auto level 19
+    # finite coefficients that overflow once padded to level 19
     monkeypatch.setattr(cli, "solve_and_report", _never)
     monkeypatch.setattr(cli, "sphere_maximize", _never)
-    code, out, err = _run(["--poly", "1e303*x1^2*x2^2 + x3^4", "--oracle"])
+    code, out, err = _run(["--poly", "1e303*x1^2*x2^2 + x3^4", "--oracle",
+                           "--level", "19"])
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("sphereopt: ") and "overflows" in err
@@ -422,6 +424,207 @@ def test_auto_level_for_quadratic():
                          "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["level"] == 5
-    assert payload["eps_valid"] is True
-    assert payload["eps"] <= 0.5
+    assert payload["level"] == 1
+    assert payload["window_closed"] is True
+    A = np.array([[1.0, -0.5, 0.0], [-0.5, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    assert payload["nu_lower"] == pytest.approx(np.linalg.eigvalsh(A)[-1],
+                                                abs=1e-8)
+
+
+EXPLICIT_KEYS = ["n", "degree", "level", "nu_upper", "nu_lower", "eps",
+                 "eps_valid", "duality_gap", "status", "iterations", "tol",
+                 "lifted", "gamma", "density", "oracle_value", "argmax",
+                 "certificate"]
+README_QUARTIC = "x1^4 + x2^4 - 3*x1^2*x2^2"
+NEG_MOTZKIN = "-x1^4*x2^2 - x1^2*x2^4 - x3^6 + 3*x1^2*x2^2*x3^2"
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("extraction must not run here")
+
+
+def _run_json(argv):
+    code, out, err = _run(argv + ["--format", "json"])
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+def test_unconverged_auto_solve_neither_extracts_nor_climbs(monkeypatch):
+    monkeypatch.setattr(cli, "candidate_points", _boom)
+    monkeypatch.setattr(oracle, "_ascend", _boom)
+    levels = []
+
+    def counted(T, level, **kwargs):
+        levels.append(level)
+        return sdp.build_relaxation(T, level, **kwargs)
+
+    monkeypatch.setattr(cli, "build_relaxation", counted)
+    code, payload = _run_json(["--poly", README_QUARTIC, "--n", "3",
+                               "--max-iterations", "1"])
+    assert code == EXIT_SOLVER
+    assert payload["status"] == "max_iterations"
+    assert payload["level"] == 2 and levels == [2]
+    assert payload["levels_solved"] == [2]
+    assert payload["window_closed"] is False
+    assert payload["maximizer"] is None
+    assert payload["nu_lower"] == payload["density_lower"]
+
+
+@pytest.mark.parametrize("level, count", [("2", 1), ("2..4", 3)])
+def test_explicit_levels_never_extract(monkeypatch, level, count):
+    monkeypatch.setattr(cli, "candidate_points", _boom)
+    monkeypatch.setattr(oracle, "_ascend", _boom)
+    code, out, _ = _run(["--poly", README_QUARTIC, "--level", level,
+                         "--format", "json"])
+    assert code == EXIT_OK
+    payloads = [json.loads(line) for line in out.splitlines()]
+    assert len(payloads) == count
+    assert all(list(p) == EXPLICIT_KEYS for p in payloads)
+    _, text, _ = _run(["--poly", README_QUARTIC, "--level", level])
+    assert "maximizer" not in text and "levels solved" not in text
+
+
+def test_auto_level_closes_at_a_maximizer_pair_of_rank_two():
+    code, payload = _run_json(["--poly", README_QUARTIC])
+    assert code == EXIT_OK
+    assert payload["level"] == 2 and payload["levels_solved"] == [2]
+    assert payload["window_closed"] is True
+    assert payload["nu_lower"] <= payload["nu_upper"]
+    x = np.array(payload["maximizer"])
+    assert min(np.abs(np.abs(x) - e).max() for e in np.eye(2)) <= 1e-6
+    # the optimal state is spread over both pairs, so no raw eigenvector
+    # of its reduction is a maximizer
+    T = reduction.canonicalize(*parse_poly(README_QUARTIC)).solve_target
+    problem = sdp.build_relaxation(T, 2)
+    solution = sdp.solve_sdp(problem)
+    weights = np.linalg.eigvalsh(
+        definetti.reduced_state(solution.M_star, 1).matrix)
+    assert weights == pytest.approx([0.5, 0.5], abs=1e-3)
+
+
+def test_auto_level_polishes_eigenvectors_between_two_maximizers(
+        monkeypatch):
+    # (x.u)^4 + (x.v)^4 with u, v 70 degrees apart has a maximizer pair
+    # near each of them; the optimal state's reduction has rank 2, and its
+    # eigenvectors lie between the pairs, so only the ascent closes
+    c, s = math.cos(math.radians(70)), math.sin(math.radians(70))
+    coeffs = [1 + c**4, 4 * c**3 * s, 6 * c**2 * s**2, 4 * c * s**3, s**4]
+    expr = " + ".join(f"{a!r}*x1^{4 - k}*x2^{k}"
+                      for k, a in enumerate(coeffs))
+    polished = []
+
+    def spy(T, X):
+        polished.append(len(X))
+        return oracle.polish(T, X)
+
+    monkeypatch.setattr(cli, "polish", spy)
+    code, payload = _run_json(["--poly", expr, "--oracle"])
+    assert code == EXIT_OK
+    assert polished == [2]
+    assert payload["levels_solved"] == [2] and payload["window_closed"]
+    assert payload["nu_lower"] == pytest.approx(payload["oracle_value"],
+                                                rel=1e-12)
+
+
+def test_auto_level_climbs_past_an_inexact_base_level():
+    # -Motzkin: the base level 3 leaves t* ~ 4.6e-3 above the maximum 0;
+    # level 4 and deeper are exact (Reznick 1995)
+    code, payload = _run_json(["--poly", NEG_MOTZKIN])
+    assert code == EXIT_OK
+    assert payload["levels_solved"] == [3, 6] and payload["level"] == 6
+    assert payload["window_closed"] is True
+    assert payload["nu_lower"] >= -1e-9
+    assert payload["nu_lower"] <= payload["nu_upper"]
+
+
+def test_auto_level_lifted_maximizer_in_original_variables():
+    code, payload = _run_json(["--poly", "x1^2*x2 - x3^3"])
+    assert code == EXIT_OK
+    assert payload["lifted"] is True
+    assert payload["levels_solved"] == [2] and payload["window_closed"]
+    x1, x2, x3 = payload["maximizer"]
+    assert x1 * x1 + x2 * x2 + x3 * x3 == pytest.approx(1.0, abs=1e-15)
+    value = x1 * x1 * x2 - x3 ** 3
+    assert payload["nu_lower"] == pytest.approx(value, rel=1e-14)
+    assert payload["nu_lower"] <= 1.0 <= payload["nu_upper"]
+    assert payload["density_lower"] < payload["nu_lower"]
+
+
+def test_climb_schedule():
+    def schedule(a, top):
+        levels = [a]
+        while levels[-1] < top:
+            levels.append(cli._next_level(levels[-1], top))
+        return levels
+
+    assert schedule(2, 19) == [2, 4, 8, 19]
+    assert schedule(3, 19) == [3, 6, 19]
+    assert schedule(2, 20) == [2, 4, 8, 20]
+    assert schedule(1, 5) == [1, 2, 5]
+    assert schedule(2, 2) == [2]
+    # with solve time ~ level^6, the levels a climb that never closes
+    # solves between the base level and the top cost at most a tenth of
+    # the top level's solve
+    for a in range(1, 6):
+        for top in range(a, 64):
+            between = schedule(a, top)[1:-1]
+            assert sum((lv / top) ** 6 for lv in between) <= 0.1
+
+
+def test_climb_without_closure_solves_the_schedule(monkeypatch):
+    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    code, payload = _run_json(["--poly", README_QUARTIC])
+    assert code == EXIT_OK
+    assert payload["levels_solved"] == [2, 4, 8, 20]
+    assert payload["level"] == 20 and payload["window_closed"] is False
+    # the best point found on the way still bounds the maximum from below
+    assert payload["nu_lower"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["nu_lower"] >= payload["density_lower"]
+
+
+@pytest.mark.slow
+def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
+                                                          tmp_path):
+    # the level-19 benchmark quartic: the climb that never closes
+    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    rng = np.random.default_rng(500)
+    T = polymat.vector_to_poly(3, 4, rng.standard_normal(15))
+    T = T.scaled(1.0 / sum(abs(c) for c in T.coeffs.values()))
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"n": 3, "terms": [
+        {"coeff": c, "exps": list(e)} for e, c in T.coeffs.items()]}),
+        encoding="utf-8")
+    code, payload = _run_json(["--input", str(path)])
+    assert code == EXIT_OK
+    assert payload["levels_solved"] == [2, 4, 8, 19]
+    assert payload["level"] == 19 and payload["status"] == "optimal"
+
+
+@pytest.mark.parametrize("error", [ResourceGuardError, ValueError])
+def test_build_refused_mid_climb_reports_last_solved_level(monkeypatch,
+                                                           error):
+    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+
+    def refusing(T, level, **kwargs):
+        if level > 4:
+            raise error(f"level {level} refused")
+        return sdp.build_relaxation(T, level, **kwargs)
+
+    monkeypatch.setattr(cli, "build_relaxation", refusing)
+    code, payload = _run_json(["--poly", README_QUARTIC])
+    assert code == EXIT_OK
+    assert payload["levels_solved"] == [2, 4] and payload["level"] == 4
+    assert payload["status"] == "optimal"
+    assert payload["window_closed"] is False
+
+
+def test_auto_text_report_lines():
+    code, out, _ = _run(["--poly", README_QUARTIC])
+    assert code == EXIT_OK
+    lines = dict((line[:16].strip(), line[16:]) for line in out.splitlines())
+    assert lines["levels solved"] == "2"
+    assert lines["window closed"] == "yes"
+    assert len(lines["maximizer"].split()) == 2
+    assert float(lines["density bound"]) < float(lines["lower bound"])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.definetti import (BoundsReport, density_constant, lower_bound,
+from sphereopt.definetti import (BoundsReport, candidate_points,
+                                 density_constant, lower_bound,
                                  measure_density, moment_matrix_of_density,
                                  reduced_state, solve_and_report)
 from sphereopt.harmonics import definetti_eps, sphere_moment_vector
@@ -94,6 +95,17 @@ def test_reduced_state_of_product_state_is_product_state():
         reduced_state(P, 0)
     with pytest.raises(ValueError):
         reduced_state(P, P.ell + 1)
+
+
+def test_candidate_points_recover_the_point_of_a_product_state():
+    rng = np.random.default_rng(6)
+    for n, level in ((2, 4), (3, 5), (4, 3), (3, 1)):
+        x = _unit(rng, n)
+        X = candidate_points(MaxSymMatrix(n, level,
+                                          product_state_vec(x, level)))
+        assert X.shape == (n, n)
+        assert np.allclose(X @ X.T, np.eye(n), atol=1e-12)
+        assert abs(X[0] @ x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_state_vec_is_rank_one_with_known_overlaps():

@@ -1,10 +1,14 @@
-"""Every imported name is used: an AST scan in place of a linter.
+"""Every imported name is used, and the CLI imports only what it needs.
 
+The unused-import check is an AST scan in place of a linter;
 ``sphereopt/__init__.py`` is skipped, since its imports are re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = ([p for p in sorted((ROOT / "src" / "sphereopt").glob("*.py"))
@@ -39,3 +43,19 @@ def test_no_unused_imports():
     found = {p.relative_to(ROOT).as_posix(): names for p in SOURCES
              if (names := _unused_imports(p.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+# scipy subpackages the bound pipeline does not use; each costs import time
+# on every CLI call
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats",
+         "scipy.integrate")
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    probe = ("import sys, sphereopt.cli; "
+             f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    got = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ from sphereopt.definetti import solve_and_report
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import evaluate, homo_poly
 from sphereopt.reduction import (canonicalize, gamma_factor, homogenize_terms,
-                                 lift_odd, pullback_bounds)
+                                 lift_odd, pullback_bounds, pullback_points)
 from sphereopt.sdp import build_relaxation
 
 
@@ -110,3 +110,18 @@ def test_pullback_brackets_odd_maximum():
     oracle = sphere_maximize(rec.original, restarts=16, seed=0).value
     assert oracle == pytest.approx(1.0, abs=1e-7)
     assert pulled.nu_lower - 1e-8 <= oracle <= pulled.nu_upper + 1e-8
+
+
+def test_pullback_points_fold_the_sign_of_x0():
+    even = canonicalize(2, {(2, 2): 1.0})
+    Z = np.array([[0.6, -0.8], [1.0, 0.0]])
+    assert pullback_points(even, Z) is Z
+    rec = canonicalize(2, {(3, 0): 1.0, (0, 3): -2.0})
+    Z = np.array([[0.5, 0.6, 0.0], [-0.5, 0.0, 0.3], [1.0, 0.0, 0.0]])
+    X = pullback_points(rec, Z)
+    # the row with x = 0 has no direction and is dropped
+    assert X.tolist() == [[1.0, 0.0], [0.0, -1.0]]
+    # the lift at (x0, x) is |x0| |x|^(2a - 1) times T at the pulled point
+    lifted = evaluate(rec.solve_target, Z[:2])
+    scale = np.abs(Z[:2, 0]) * np.linalg.norm(Z[:2, 1:], axis=1) ** 3
+    assert np.allclose(lifted, scale * evaluate(rec.original, X), atol=1e-15)
