@@ -14,8 +14,10 @@ adds the point's value to the lower bound, and the fields
 ``density_lower``, ``maximizer``, ``window_closed`` and ``levels_solved``.
 
 Output is deterministic: the same invocation produces byte-identical
-output, floats are rendered with repr-faithful precision, and JSON mode
-emits one object per level on its own line (one for the automatic level).
+output, every float prints as its Python ``repr`` (the shortest text that
+parses back to the same double), and JSON mode emits one strict JSON
+object per level on its own line (one for the automatic level); a value
+JSON cannot carry, such as an infinite bound, exits 3 before any output.
 
 Exit codes: 0 success, 2 malformed input or arguments, 3 solver did not
 reach an optimal status, 4 problem size above the resource guard.
@@ -195,51 +197,20 @@ def load_json_input(stream):
     return n, terms
 
 
-def _fmt_float(v):
-    v = float(v)
-    if v != v or v in (float("inf"), float("-inf")):
-        return "null"
-    out = "%.17g" % v
-    return out
-
-
-def _emit_json(value):
-    """Deterministic JSON text: insertion-ordered keys, %.17g floats."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_emit_json(v)}"
-                         for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _poly_terms_json(T):
     return [{"coeff": float(a), "exps": list(mi)}
             for mi, a in T.catalog_terms()]
 
 
-def _poly_str(T, names):
+def _poly_str(terms, names):
     parts = []
-    for mi, a in T.catalog_terms():
-        factors = [_fmt_float(a)]
-        for t, e in enumerate(mi):
+    for term in terms:
+        factors = [repr(term["coeff"])]
+        for name, e in zip(names, term["exps"]):
             if e == 1:
-                factors.append(names[t])
+                factors.append(name)
             elif e > 1:
-                factors.append(f"{names[t]}^{e}")
+                factors.append(f"{name}^{e}")
         parts.append("*".join(factors))
     return " + ".join(parts) if parts else "0"
 
@@ -357,44 +328,47 @@ def _report_payload(report, record, oracle_result, certificate, climb=None):
     return payload
 
 
-def _print_text(payload, record, certificate, out):
+def _text_report(payload):
+    """The payload as aligned text lines; floats print as their repr."""
+    lines = []
+
     def line(label, value):
-        out.write(f"{label:<16}{value}\n")
+        lines.append(f"{label:<16}{value}\n")
 
     line("variables", payload["n"])
     line("degree", payload["degree"])
     line("level", payload["level"])
-    if record.lifted:
-        line("lifted", f"odd degree, scale {_fmt_float(record.gamma)}")
-    line("upper bound", _fmt_float(payload["nu_upper"]))
-    line("lower bound", _fmt_float(payload["nu_lower"]))
-    width = payload["nu_upper"] - payload["nu_lower"]
-    line("window", _fmt_float(width))
+    if payload["lifted"]:
+        line("lifted", f"odd degree, scale {payload['gamma']!r}")
+    line("upper bound", repr(payload["nu_upper"]))
+    line("lower bound", repr(payload["nu_lower"]))
+    line("window", repr(payload["nu_upper"] - payload["nu_lower"]))
     if "levels_solved" in payload:
-        line("density bound", _fmt_float(payload["density_lower"]))
+        line("density bound", repr(payload["density_lower"]))
         point = payload["maximizer"]
         line("maximizer", "none" if point is None
-             else " ".join(_fmt_float(v) for v in point))
+             else " ".join(map(repr, point)))
         line("window closed", "yes" if payload["window_closed"] else "no")
         line("levels solved", " ".join(map(str, payload["levels_solved"])))
     eps_note = "valid" if payload["eps_valid"] else "not yet valid"
-    line("a priori eps", f"{_fmt_float(payload['eps'])} ({eps_note})")
-    line("duality gap", _fmt_float(payload["duality_gap"]))
+    line("a priori eps", f"{payload['eps']!r} ({eps_note})")
+    line("duality gap", repr(payload["duality_gap"]))
     line("status", f"{payload['status']} ({payload['iterations']} "
                    "iterations)")
     if payload["oracle_value"] is not None:
-        line("oracle value", _fmt_float(payload["oracle_value"]))
-        coords = " ".join(_fmt_float(v) for v in payload["argmax"])
-        line("oracle argmax", coords)
+        line("oracle value", repr(payload["oracle_value"]))
+        line("oracle argmax", " ".join(map(repr, payload["argmax"])))
+    certificate = payload["certificate"]
     if certificate is not None:
-        if record.lifted:
+        if payload["lifted"]:
             names = ["x0"] + [f"x{t}" for t in range(1, payload["n"] + 1)]
         else:
             names = [f"x{t + 1}" for t in range(payload["n"])]
         line("certificate", f"{len(certificate)} squares")
-        for k, (w, poly) in enumerate(certificate):
-            line(f"  square {k}",
-                 f"{_fmt_float(w)} * ({_poly_str(poly, names)})^2")
+        for k, square in enumerate(certificate):
+            line(f"  square {k}", f"{square['weight']!r} * "
+                                  f"({_poly_str(square['terms'], names)})^2")
+    return "".join(lines)
 
 
 def _solve(problem, record, args):
@@ -544,14 +518,18 @@ def run(args, out=None, err=None):
                                                  record, args, max_p)
             else:
                 report, solution = _solve(problems.pop(0), record, args)
-            if args.oracle:
-                report = report.with_oracle(oracle_result.value)
             certificate = None
             if args.certificate and solution.status == STATUS_OPTIMAL:
                 certificate = extract_sos_certificate(solution)
             payload = _report_payload(report, record, oracle_result,
                                       certificate, climb)
-            blocks.append((payload, certificate))
+            # rendered here, so a value JSON cannot carry exits before any
+            # output
+            if args.format == "json":
+                blocks.append(json.dumps(payload, separators=(",", ":"),
+                                         allow_nan=False) + "\n")
+            else:
+                blocks.append(_text_report(payload))
             if solution.status != STATUS_OPTIMAL:
                 code = EXIT_SOLVER
     except ResourceGuardError as exc:
@@ -561,14 +539,8 @@ def run(args, out=None, err=None):
         err.write(f"sphereopt: {exc}\n")
         return EXIT_SOLVER
 
-    if args.format == "json":
-        for payload, _ in blocks:
-            out.write(_emit_json(payload) + "\n")
-    else:
-        for k, (payload, certificate) in enumerate(blocks):
-            if k:
-                out.write("\n")
-            _print_text(payload, record, certificate, out)
+    # text reports are separated by a blank line
+    out.write(("\n" if args.format == "text" else "").join(blocks))
     return code
 
 

@@ -161,9 +161,8 @@ class BoundsReport:
     solver maintains throughout; nu_lower is the average of the objective
     under the explicitly constructed measure.  ``eps`` is
     the a priori relative-error bound for this level (meaningful only when
-    ``eps_valid``); ``oracle_value`` is an optional heuristic search value
-    for comparison and is not part of the certificate.  ``density`` is the
-    measure that certifies ``nu_lower``, in the solved variables.
+    ``eps_valid``).  ``density`` is the measure that certifies
+    ``nu_lower``, in the solved variables.
     """
 
     n: int
@@ -177,16 +176,12 @@ class BoundsReport:
     status: str
     iterations: int
     tol: float
-    oracle_value: float | None = None
     density: SphereMeasureDensity | None = dataclasses.field(
         default=None, compare=False, repr=False)
 
     @property
     def width(self):
         return self.nu_upper - self.nu_lower
-
-    def with_oracle(self, value):
-        return dataclasses.replace(self, oracle_value=float(value))
 
 
 def solve_and_report(problem, tol=1e-8, max_iterations=100):

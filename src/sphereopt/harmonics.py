@@ -87,26 +87,14 @@ def definetti_eps(a, level, n):
     return EpsBound(value=value, valid=valid)
 
 
-def _double_factorial(m):
-    """(m)!! for odd m >= -1, exact integer; (-1)!! = 1."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
 @lru_cache(maxsize=None)
 def _moment_cached(n, exps):
     if any(e % 2 for e in exps):
         return 0.0
     half = [e // 2 for e in exps]
-    num = 1
-    for b in half:
-        num *= _double_factorial(2 * b - 1)
-    den = 1
-    for k in range(sum(half)):
-        den *= n + 2 * k
+    # exact integers, so the one division rounds correctly
+    num = math.prod(math.prod(range(2 * b - 1, 0, -2)) for b in half)
+    den = math.prod(range(n, n + 2 * sum(half), 2))
     return num / den
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -628,3 +629,90 @@ def test_auto_text_report_lines():
     assert lines["window closed"] == "yes"
     assert len(lines["maximizer"].split()) == 2
     assert float(lines["density bound"]) < float(lines["lower bound"])
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return [json.loads(line, parse_constant=refuse)
+            for line in text.splitlines()]
+
+
+def _text_fields(block):
+    """label -> value text of one text report."""
+    return dict((line[:16].strip(), line[16:]) for line in block.splitlines())
+
+
+@pytest.mark.parametrize("poly, level", [(README_QUARTIC, "2..3"),
+                                         ("x1^2*x2 - x3^3", None)])
+def test_json_is_strict_and_exact(poly, level):
+    argv = ["--poly", poly, "--certificate", "--oracle"]
+    if level is not None:
+        argv += ["--level", level]
+    code, out, err = _run(argv + ["--format", "json"])
+    assert code == EXIT_OK and err == ""
+    payloads = _strict_json(out)
+    n, terms = parse_poly(poly)
+    record = reduction.canonicalize(n, terms)
+    for payload in payloads:
+        problem = sdp.build_relaxation(record.solve_target, payload["level"])
+        report = reduction.pullback_bounds(
+            record, definetti.solve_and_report(problem, max_iterations=120)[0])
+        # the automatic level raises nu_lower to its point's value and
+        # keeps the density bound in density_lower
+        lower = "nu_lower" if level is not None else "density_lower"
+        assert payload[lower] == report.nu_lower
+        assert payload["nu_upper"] == report.nu_upper
+        assert payload["duality_gap"] == report.duality_gap
+        assert payload["eps"] == report.eps
+        assert payload["gamma"] == record.gamma
+        assert type(payload["eps"]) is float
+        assert type(payload["gamma"]) is float
+    assert len(payloads) == (2 if level is not None else 1)
+
+    # every float of the text report parses back to the JSON value
+    code, text, _ = _run(argv)
+    assert code == EXIT_OK
+    for payload, block in zip(payloads, text.split("\n\n"), strict=True):
+        fields = _text_fields(block)
+        assert float(fields["upper bound"]) == payload["nu_upper"]
+        assert float(fields["lower bound"]) == payload["nu_lower"]
+        assert (float(fields["window"])
+                == payload["nu_upper"] - payload["nu_lower"])
+        assert float(fields["a priori eps"].split()[0]) == payload["eps"]
+        assert float(fields["duality gap"]) == payload["duality_gap"]
+        assert float(fields["oracle value"]) == payload["oracle_value"]
+        assert ([float(v) for v in fields["oracle argmax"].split()]
+                == payload["argmax"])
+        if payload["lifted"]:
+            assert (float(fields["lifted"].split()[-1])
+                    == payload["gamma"])
+        if level is None:
+            assert (float(fields["density bound"])
+                    == payload["density_lower"])
+            assert ([float(v) for v in fields["maximizer"].split()]
+                    == payload["maximizer"])
+        squares = payload["certificate"]
+        for k, square in enumerate(squares):
+            weight, body = fields[f"square {k}"].split(" * (", 1)
+            assert float(weight) == square["weight"]
+            coeffs = [float(part.split("*")[0])
+                      for part in body[:-len(")^2")].split(" + ")]
+            assert coeffs == [t["coeff"] for t in square["terms"]]
+
+
+def test_value_json_cannot_carry_exits_before_any_output(monkeypatch):
+    def infinite(record, report):
+        return dataclasses.replace(reduction.pullback_bounds(record, report),
+                                   nu_upper=math.inf)
+
+    monkeypatch.setattr(cli, "pullback_bounds", infinite)
+    argv = ["--poly", README_QUARTIC, "--level", "2..3"]
+    code, out, err = _run(argv + ["--format", "json"])
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert err.startswith("sphereopt: ")
+    code, text, _ = _run(argv)
+    assert code == EXIT_OK
+    assert _text_fields(text.split("\n\n")[0])["upper bound"] == "inf"

@@ -243,10 +243,6 @@ def test_solve_and_report_certifies_two_sided_bounds():
     assert report.width >= -1e-12
     eps = definetti_eps(2, 4, 3)
     assert report.eps == eps.value and report.eps_valid == eps.valid
-    tagged = report.with_oracle(oracle)
-    assert tagged.oracle_value == oracle
-    assert tagged.nu_upper == report.nu_upper
-    assert report.oracle_value is None
     # x1^2 x2^2 peaks at 1/4 on the sphere; level 3 brackets it
     report, _ = solve_and_report(
         build_relaxation(homo_poly(3, 4, {(2, 2, 0): 1.0}), 3))
