@@ -5,11 +5,13 @@ even homogeneous problem, runs one or more relaxation levels, and prints
 certified two-sided bounds, optionally with a sum-of-squares certificate
 and a local-search comparison value.
 
-``--level L`` and ``--level LO..HI`` solve the levels asked for.  Without
-``--level`` the level is adaptive: the climb solves the base level, reads
-candidate maximizers off the optimal state, and stops once the value of
-the best one is within the solver's gap rule of the upper bound;
-otherwise it solves deeper levels up to :func:`choose_level`.  Its report
+``--level L`` and ``--level LO..HI`` solve the levels asked for, and the
+guards run on the deepest of them before anything is built.  Without
+``--level`` the level is adaptive: only the base level is guarded up
+front; the climb solves it, reads candidate maximizers off the optimal
+state, and stops once the value of the best one is within the solver's
+gap rule of the upper bound; otherwise it computes its top,
+:func:`choose_level`, and solves deeper levels up to it.  Its report
 adds the point's value to the lower bound, and the fields
 ``density_lower``, ``maximizer``, ``window_closed`` and ``levels_solved``.
 
@@ -68,24 +70,26 @@ _TOKEN_RE = re.compile(
 def _tokenize(text):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("number") is not None:
-            tokens.append(("number", float(m.group("number")), m.start()))
-        elif m.group("var") is not None:
-            idx = int(m.group("index"))
+    # matches tile the text from its start until the first character no
+    # token begins with
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind == "number":
+            tokens.append(("number", float(m[kind]), pos))
+        elif kind == "var":
+            idx = int(m["index"])
             if idx < 1:
-                raise ParseError("variable indices start at x1", m.start())
-            tokens.append(("var", idx, m.start()))
+                raise ParseError("variable indices start at x1", pos)
+            tokens.append(("var", idx, pos))
         else:
-            tokens.append((m.group("op"), None, m.start()))
+            tokens.append((m[kind], None, pos))
         pos = m.end()
+    stripped = text[pos:].lstrip()
+    if stripped:
+        raise ParseError(f"unexpected character {stripped[0]!r}",
+                         len(text) - len(stripped))
     return tokens
 
 
@@ -223,8 +227,8 @@ def choose_level(n, a, max_p):
     ``MAX_AUTO_LEVEL``; so it falls back to the deepest level within the
     size guard, the Schur-memory guard and the conditioning floor.  Raises
     ResourceGuardError when even the base level is out of reach.  The CLI
-    solves this level only when no lower level of the climb closes the
-    window.
+    computes this level only once a solved level of the climb leaves the
+    window open, and solves it only when no lower level closes the window.
     """
     check_level(n, a, max_p)
     level = a
@@ -409,18 +413,19 @@ def _next_level(level, top):
     return 2 * level if 4 * level <= top else top
 
 
-def _climb(problem, top, record, args, max_p):
-    """Solve from the base level up to ``top`` until a point closes the window.
+def _climb(problem, record, args, max_p):
+    """Solve from the base level up to the top until a point closes the window.
 
     After each optimal solve, the best point read off the state gives the
     lower bound T(point); the climb stops once it is within the solver's
-    gap rule of the upper bound, at a solve that is not optimal, at
-    ``top``, or at a level the guards or the padding refuse.  Returns the
-    last level's (report, solution) and the fields the climb adds to its
-    payload.
+    gap rule of the upper bound, at a solve that is not optimal, at the
+    top, or at a level the guards or the padding refuse.  The top,
+    :func:`choose_level`, is computed only once a solved level leaves the
+    window open.  Returns the last level's (report, solution) and the
+    fields the climb adds to its payload.
     """
     levels = []
-    value, point, closed = -math.inf, None, False
+    value, point, closed, top = -math.inf, None, False, None
     while True:
         report, solution = _solve(problem, record, args)
         levels.append(problem.ell)
@@ -431,7 +436,11 @@ def _climb(problem, top, record, args, max_p):
         if found[0] > value:
             value, point = found
         closed = _closes(report.nu_upper, value, args.tol)
-        if closed or problem.ell == top:
+        if closed:
+            break
+        if top is None:
+            top = choose_level(problem.n, problem.a, max_p)
+        if problem.ell == top:
             break
         try:
             problem = build_relaxation(record.solve_target,
@@ -481,14 +490,14 @@ def run(args, out=None, err=None):
     try:
         # Padding the terms to one degree makes about as many terms as the
         # base level has rows, so the guards run first, on the deepest
-        # level, and a bad range fails fast.  The automatic climb builds
-        # its levels above the base one as it reaches them.
+        # level asked for, and a bad range fails fast.  The automatic
+        # climb guards only its base level here; it builds the levels
+        # above, and computes its top, as it reaches them.
         if args.level is None:
-            top = choose_level(solve_n, a, max_p)
             levels = [a]
         else:
             levels = _parse_level_spec(args.level, a)
-            check_level(solve_n, levels[-1], max_p)
+        check_level(solve_n, levels[-1], max_p)
         record = canonicalize(n, terms)
         target = record.solve_target
         problems = [build_relaxation(target, level, max_p=max_p)
@@ -514,8 +523,8 @@ def run(args, out=None, err=None):
             # solution
             climb = None
             if args.level is None:
-                report, solution, climb = _climb(problems.pop(0), top,
-                                                 record, args, max_p)
+                report, solution, climb = _climb(problems.pop(0), record,
+                                                 args, max_p)
             else:
                 report, solution = _solve(problems.pop(0), record, args)
             certificate = None
@@ -544,10 +553,12 @@ def run(args, out=None, err=None):
     return code
 
 
+# parse_args keeps no state between calls, so every call shares one parser
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -33,7 +33,11 @@ this problem class:
   strictly feasible by construction;
 * each iteration factors the q x q Schur complement
   S[k, m] = tr(B_k Y B_m Y), Y the inverse scaling point, with a dense
-  Cholesky.  The structural basis matrices B_k partition the p x p entry
+  Cholesky (LAPACK ``dpotrf``, solved with ``dpotrs``; the inverse
+  triangular factor of the NT scaling comes from ``dtrtrs``), called
+  through ``scipy.linalg.lapack`` with the arguments the ``scipy.linalg``
+  wrappers pass, so the bits are theirs without the per-call cost of the
+  wrappers.  The structural basis matrices B_k partition the p x p entry
   grid (entry (i, j) belongs to class i + j alone), so row k of S is the
   class-wise projection of Y B_k Y.  Y B_k is gathered from weighted
   columns of Y, which leaves one dense product per class: q p^3 flops,
@@ -53,7 +57,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .harmonics import sphere_moment_vector
 from .multiindex import sym_dimension
@@ -330,22 +334,24 @@ class SdpSolution:
                 + self.problem.objective_matrix())
 
 
-def _is_pd(A):
+def _cholesky(A):
+    """Lower Cholesky factor of A, or None when A is not positive definite."""
     try:
-        np.linalg.cholesky(A)
-        return True
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return False
+        return None
 
 
-def _max_step(d, delta_hat):
-    """Largest alpha with diag(d) + alpha * delta_hat still PSD."""
+def _max_steps(d, dxh, dzh):
+    """Largest alphas with diag(d) + alpha * dxh, and with dzh, still PSD.
+
+    One stacked eigvalsh call: the gufunc runs LAPACK on each matrix as a
+    call on that matrix alone would.
+    """
     sq = np.sqrt(d)
-    scaled = delta_hat / sq[:, None] / sq[None, :]
-    lo = float(np.linalg.eigvalsh(scaled)[0])
-    if lo >= -1e-14:
-        return np.inf
-    return 1.0 / (-lo)
+    scaled = np.array((dxh, dzh)) / sq[:, None] / sq[None, :]
+    lo = np.linalg.eigvalsh(scaled)[:, 0].tolist()
+    return tuple(np.inf if v >= -1e-14 else 1.0 / (-v) for v in lo)
 
 
 def _schur_matrix(problem, Y):
@@ -387,28 +393,44 @@ def _factor_schur(S):
     The Schur complement grows extremely ill conditioned near the optimum;
     scaling to unit diagonal plus a relative shift ladder keeps the
     factorization alive without distorting well conditioned directions.
-    Returns a solver closure, or None when every shift fails.
+    The factor is LAPACK ``dpotrf`` (lower, upper triangle left as is) and
+    each solve ``dpotrs``: the calls ``cho_factor`` and ``cho_solve`` make.
+    Their finiteness checks stay, as explicit ones on the equilibrated
+    matrix, the factor and each right-hand side, since ``dpotrf`` only
+    tests its pivots and a NaN passes that test.  A nonzero ``dpotrf``
+    info steps the shift ladder.  Returns a solver closure, or None when
+    every shift fails; a non-finite array raises ValueError.
     """
-    dg = np.diag(S).copy()
-    if not np.all(np.isfinite(dg)) or np.any(dg <= 0.0):
+    dg = S.diagonal().copy()
+    if not np.isfinite(dg).all() or (dg <= 0.0).any():
         return None
     scale = 1.0 / np.sqrt(dg)
-    Se = S * scale[:, None] * scale[None, :]
-    idx = np.diag_indices_from(Se)
+    Se = S * scale[:, None]
+    Se *= scale
+    _check_finite(Se)
+    diagonal = np.einsum("ii->i", Se)  # a writeable view
     applied = 0.0
     for shift in (0.0, 1e-14, 1e-10, 1e-6):
-        Se[idx] += shift - applied
+        diagonal += shift - applied
         applied = shift
-        try:
-            cho = cho_factor(Se, lower=True)
-        except np.linalg.LinAlgError:
+        factor, info = dpotrf(Se, lower=1, clean=0)
+        if info != 0:
             continue
+        _check_finite(factor)
 
-        def solve(rhs, cho=cho, scale=scale):
-            return scale * cho_solve(cho, scale * rhs)
+        def solve(rhs, factor=factor, scale=scale):
+            b = scale * rhs
+            _check_finite(b)
+            return scale * dpotrs(factor, b, lower=1)[0]
 
         return solve
     return None
+
+
+def _check_finite(a):
+    """The finiteness check of the scipy.linalg wrappers, same message."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def check_solve_options(tol, max_iterations):
@@ -439,6 +461,9 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
     y = problem.initial_primal()
     X = problem.moment_matrix(y)
     t, Z = problem.initial_dual()
+    # each iterate carries its factors: the step search factors X and Z
+    # to accept them, and the next iteration scales with those factors
+    Lx, Lz = _cholesky(X), _cholesky(Z)
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
@@ -457,10 +482,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
             break
 
         iterations += 1
-        try:
-            Lx = np.linalg.cholesky(X)
-            Lz = np.linalg.cholesky(Z)
-        except np.linalg.LinAlgError:
+        if Lx is None or Lz is None:
             status = STATUS_NUMERICAL_FAILURE
             break
 
@@ -468,7 +490,13 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
         # H = diag(d)^{1/2} V' L^{-1} maps X and inverse(Z) to diag(d);
         # the scaled primal and dual variables share the spectrum d.
         _, d, Vt = np.linalg.svd(Lz.T @ Lx)
-        Linv = solve_triangular(Lx, eye_p, lower=True)
+        # Lx^{-1} by the dtrtrs call solve_triangular(Lx, I, lower=True)
+        # makes for a C-contiguous Lx: the transposed upper system.  Its
+        # finiteness check is the SVD's, which refuses a NaN or an inf.
+        Linv, info = dtrtrs(Lx.T, eye_p, lower=0, trans=1)
+        if info != 0:
+            status = STATUS_NUMERICAL_FAILURE
+            break
         H = np.sqrt(d)[:, None] * (Vt @ Linv)
         Y = H.T @ H
 
@@ -488,16 +516,14 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
             return dy, dt
 
         def directions(ehat):
-            # The congruences with the ill-conditioned H leave
-            # roundoff-scale asymmetry that the triangle-reading
-            # factorizations would never see; symmetrize explicitly.
+            # The congruences with the ill-conditioned H, here and for dZ
+            # in attempt, leave roundoff-scale asymmetry that the
+            # triangle-reading factorizations would never see; symmetrize
+            # explicitly.  The predictor needs no dZ.
             dy, dt = newton(ehat)
             dxh = H @ problem.moment_matrix(dy) @ H.T
             dxh = (dxh + dxh.T) / 2.0
-            dzh = ehat - dxh
-            dZ = H.T @ dzh @ H
-            dZ = (dZ + dZ.T) / 2.0
-            return dy, dt, dxh, dzh, dZ
+            return dy, dt, dxh, ehat - dxh
 
         def attempt(ehat):
             # Accept the longest positive-definite fractions of the step,
@@ -508,20 +534,23 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
             # their equality constraints first (the structural basis is
             # orthonormal, so subtracting the embedded dual residual
             # restores A*(Z) = t tau - c exactly); a side that cannot move
-            # at all is frozen.  Returns the new iterate or None.
-            dy, dt, dxh, dzh, dZ = directions(ehat)
-            ap = min(1.0, gamma * _max_step(d, dxh))
-            ad = min(1.0, gamma * _max_step(d, dzh))
+            # at all is frozen.  Returns the new iterate, each side with
+            # its Cholesky factor, or None.
+            dy, dt, dxh, dzh = directions(ehat)
+            dZ = H.T @ dzh @ H
+            dZ = (dZ + dZ.T) / 2.0
+            ap, ad = (min(1.0, gamma * a) for a in _max_steps(d, dxh, dzh))
             got_x = got_z = None
             for _shrink in range(60):
                 if got_x is None:
                     yc = y + ap * dy
                     yc -= ((float(tau @ yc) - 1.0) / tau_nsq) * tau
                     Xc = problem.moment_matrix(yc)
-                    if _is_pd(Xc):
-                        got_x = (yc, Xc, ap)
+                    Lc = _cholesky(Xc)
+                    if Lc is not None:
+                        got_x = (yc, Xc, Lc, ap)
                     elif ap < 1e-7:
-                        got_x = (y, X, 0.0)
+                        got_x = (y, X, Lx, 0.0)
                     else:
                         ap *= 0.7
                 if got_z is None:
@@ -529,23 +558,23 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
                     Zc = Z + ad * dZ
                     rdc = problem.project(Zc) - tc * tau + c
                     Zc = Zc - problem.moment_matrix(rdc)
-                    if _is_pd(Zc):
-                        got_z = (tc, Zc, ad)
+                    Lc = _cholesky(Zc)
+                    if Lc is not None:
+                        got_z = (tc, Zc, Lc, ad)
                     elif ad < 1e-7:
-                        got_z = (t, Z, 0.0)
+                        got_z = (t, Z, Lz, 0.0)
                     else:
                         ad *= 0.7
                 if got_x is not None and got_z is not None:
-                    if got_x[2] == 0.0 and got_z[2] == 0.0:
+                    if got_x[3] == 0.0 and got_z[3] == 0.0:
                         return None
-                    return got_x[0], got_x[1], got_z[1], got_z[0]
+                    return got_x[:3] + got_z[:3]
             return None
 
         # Predictor: aim at complementarity zero.
         e_aff = -np.diag(d)
-        _, _, dxh_a, dzh_a, _ = directions(e_aff)
-        ap_a = min(1.0, _max_step(d, dxh_a))
-        ad_a = min(1.0, _max_step(d, dzh_a))
+        _, _, dxh_a, dzh_a = directions(e_aff)
+        ap_a, ad_a = (min(1.0, a) for a in _max_steps(d, dxh_a, dzh_a))
 
         mu = gap_xz / p
         D = np.diag(d)
@@ -563,7 +592,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
         if accepted is None:
             status = STATUS_NUMERICAL_FAILURE
             break
-        y, X, Z, t = accepted
+        y, X, Lx, t, Z, Lz = accepted
 
     obj = float(c @ y)
     rp = float(tau @ y - 1.0)

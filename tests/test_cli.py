@@ -70,6 +70,21 @@ def test_parse_poly_error_positions():
         parse_poly("x1^1e400 + x2^2")  # the exponent overflows to inf
 
 
+def test_tokenize_positions_and_errors():
+    # a token's position is where its match starts, before any whitespace
+    assert cli._tokenize(" x12 *3.5 ") == [("var", 12, 0), ("*", None, 4),
+                                           ("number", 3.5, 6)]
+    assert cli._tokenize("  ") == []
+    with pytest.raises(ParseError, match="position 3: unexpected character "
+                                         "'@'"):
+        cli._tokenize("x1 @ x2")
+    with pytest.raises(ParseError, match="position 4: variable indices"):
+        cli._tokenize("x1 + x0 $")
+    with pytest.raises(ParseError, match="position 6: unexpected character "
+                                         "'y'"):
+        cli._tokenize("x1 +  y")
+
+
 def test_load_json_input_roundtrips_and_validates():
     good = {"n": 2, "terms": [{"coeff": 1.5, "exps": [2, 0]},
                               {"coeff": -1, "exps": [0, 2]},
@@ -361,11 +376,14 @@ def test_schur_memory_guard_exits_before_any_work(monkeypatch):
 def test_size_guard_fires_before_homogenization_pads(monkeypatch):
     _forbid_solving(monkeypatch)
     monkeypatch.setattr(reduction, "multiply_r2", _never)
+    monkeypatch.setattr(cli, "choose_level", _never)
     # base level 50 in 5 variables: p = C(54, 4) = 316251
     code, out, err = _run(["--poly", "x1^100 + x2^2 + x3^2 + x4^2 + x5^2"])
     assert code == EXIT_RESOURCE
     assert out == ""
-    assert "316251" in err and "guard" in err
+    assert err == ("sphereopt: level 50 needs matrices of side 316251, "
+                   "above the guard 512; raise SPHEREOPT_MAX_P to "
+                   "override\n")
 
 
 def test_padded_overflow_exits_before_any_solve(monkeypatch):
@@ -529,12 +547,21 @@ def test_auto_level_polishes_eigenvectors_between_two_maximizers(
                                                 rel=1e-12)
 
 
-def test_auto_level_climbs_past_an_inexact_base_level():
+def test_auto_level_climbs_past_an_inexact_base_level(monkeypatch):
     # -Motzkin: the base level 3 leaves t* ~ 4.6e-3 above the maximum 0;
     # level 4 and deeper are exact (Reznick 1995)
+    tops = []
+
+    def counted(*args):
+        tops.append(args)
+        return choose_level(*args)
+
+    monkeypatch.setattr(cli, "choose_level", counted)
     code, payload = _run_json(["--poly", NEG_MOTZKIN])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [3, 6] and payload["level"] == 6
+    # the open window at level 3 computes the top, once
+    assert tops == [(3, 3, 512)]
     assert payload["window_closed"] is True
     assert payload["nu_lower"] >= -1e-9
     assert payload["nu_lower"] <= payload["nu_upper"]
@@ -585,11 +612,8 @@ def test_climb_without_closure_solves_the_schedule(monkeypatch):
     assert payload["nu_lower"] >= payload["density_lower"]
 
 
-@pytest.mark.slow
-def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
-                                                          tmp_path):
-    # the level-19 benchmark quartic: the climb that never closes
-    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+def _deep_quartic(tmp_path):
+    # the benchmark's deep-n3 quartic, as a JSON input file
     rng = np.random.default_rng(500)
     T = polymat.vector_to_poly(3, 4, rng.standard_normal(15))
     T = T.scaled(1.0 / sum(abs(c) for c in T.coeffs.values()))
@@ -597,10 +621,69 @@ def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
     path.write_text(json.dumps({"n": 3, "terms": [
         {"coeff": c, "exps": list(e)} for e, c in T.coeffs.items()]}),
         encoding="utf-8")
-    code, payload = _run_json(["--input", str(path)])
+    return str(path)
+
+
+@pytest.mark.slow
+def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
+                                                          tmp_path):
+    # the level-19 benchmark quartic: the climb that never closes
+    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    code, payload = _run_json(["--input", _deep_quartic(tmp_path)])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4, 8, 19]
     assert payload["level"] == 19 and payload["status"] == "optimal"
+
+
+def test_climb_top_is_not_computed_when_the_base_level_closes(monkeypatch,
+                                                               tmp_path):
+    def refused(*args, **kwargs):
+        raise AssertionError("the base level closes: no top is needed")
+
+    monkeypatch.setattr(cli, "choose_level", refused)
+    code, payload = _run_json(["--input", _deep_quartic(tmp_path)])
+    assert code == EXIT_OK
+    assert payload["levels_solved"] == [2] and payload["window_closed"]
+
+
+def test_main_calls_share_no_state(capsys):
+    argv = ["--poly", README_QUARTIC, "--level", "2", "--format", "json"]
+    assert main(argv + ["--oracle", "--restarts", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["oracle_value"] is not None
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_value"] is None and payload["argmax"] is None
+
+
+NON_FINITE = "sphereopt: array must not contain infs or NaNs\n"
+
+
+def test_non_finite_schur_matrix_exits_3_without_output(monkeypatch):
+    real = sdp._schur_matrix
+
+    def poisoned(problem, Y):
+        S = real(problem, Y)
+        S[0, 1] = S[1, 0] = np.nan  # off the diagonal
+        return S
+
+    monkeypatch.setattr(sdp, "_schur_matrix", poisoned)
+    code, out, err = _run(["--poly", README_QUARTIC, "--level", "2",
+                           "--format", "json"])
+    assert (code, out, err) == (EXIT_SOLVER, "", NON_FINITE)
+
+
+def test_non_finite_schur_right_hand_side_exits_3_without_output(
+        monkeypatch):
+    def poisoned(T, level, **kwargs):
+        problem = sdp.build_relaxation(T, level, **kwargs)
+        tau = problem.tau.copy()
+        tau[-1] = np.nan  # the first Schur solve is against tau
+        return dataclasses.replace(problem, tau=tau)
+
+    monkeypatch.setattr(cli, "build_relaxation", poisoned)
+    code, out, err = _run(["--poly", README_QUARTIC, "--level", "2",
+                           "--format", "json"])
+    assert (code, out, err) == (EXIT_SOLVER, "", NON_FINITE)
 
 
 @pytest.mark.parametrize("error", [ResourceGuardError, ValueError])

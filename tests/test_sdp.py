@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
@@ -11,7 +13,7 @@ from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, SCHUR_COPIES,
                            STATUS_OPTIMAL, build_relaxation, check_level,
                            extract_sos_certificate, resolve_cond_ratio,
                            resolve_max_p, solve_sdp, uniform_conditioning,
-                           _schur_matrix)
+                           _factor_schur, _max_steps, _schur_matrix)
 
 from reference import dense_uniform_conditioning, lambda_ratio
 
@@ -294,6 +296,121 @@ def test_schur_matrix_bitwise_equals_dense_basis_assembly(monkeypatch, n,
     for Y in seen:
         assert np.array_equal(_schur_matrix(prob, Y),
                               _dense_basis_schur(prob, Y))
+
+
+def _wrapper_factor_schur(S):
+    # _factor_schur through the scipy.linalg wrappers, with the old
+    # equilibration; also returns the shift that factored
+    scale = 1.0 / np.sqrt(np.diag(S))
+    Se = S * scale[:, None] * scale[None, :]
+    idx = np.diag_indices_from(Se)
+    applied = 0.0
+    for shift in (0.0, 1e-14, 1e-10, 1e-6):
+        Se[idx] += shift - applied
+        applied = shift
+        try:
+            cho = cho_factor(Se, lower=True)
+        except np.linalg.LinAlgError:
+            continue
+        return (lambda rhs: scale * cho_solve(cho, scale * rhs)), shift
+    return None, None
+
+
+def _solve_spied(monkeypatch, n, level):
+    # the Schur matrices and the dtrtrs calls of one solve
+    schur, triangular = [], []
+
+    def schur_spy(problem, Y):
+        S = _schur_matrix(problem, Y)
+        schur.append(S)
+        return S
+
+    def trtrs_spy(a, b, **kwargs):
+        got = dtrtrs(a, b, **kwargs)
+        triangular.append((a, b, got[0]))
+        return got
+
+    monkeypatch.setattr(sdp_module, "_schur_matrix", schur_spy)
+    monkeypatch.setattr(sdp_module, "dtrtrs", trtrs_spy)
+    prob = build_relaxation(_random_poly(n, 4, 0), level)
+    solution = solve_sdp(prob)
+    assert solution.status == STATUS_OPTIMAL
+    return prob, schur, triangular
+
+
+# (3, 4, 15) with seed 0 steps the shift ladder in its last iterations
+@pytest.mark.parametrize("n, level, min_steps", [(3, 15, 1), (10, 2, 0),
+                                                 (6, 3, 0)])
+def test_lapack_calls_bitwise_equal_scipy_wrappers(monkeypatch, n, level,
+                                                   min_steps):
+    prob, schur, triangular = _solve_spied(monkeypatch, n, level)
+    rng = np.random.default_rng(level)
+    steps = 0
+    for S in schur:
+        # the in-place equilibration of _factor_schur, against the old
+        # expression
+        scale = 1.0 / np.sqrt(np.diag(S))
+        Se = S * scale[:, None]
+        Se *= scale
+        assert np.array_equal(Se, S * scale[:, None] * scale[None, :])
+        solve = _factor_schur(S)
+        reference, shift = _wrapper_factor_schur(S)
+        steps += shift > 0.0
+        for rhs in (prob.tau, rng.standard_normal(prob.q)):
+            assert np.array_equal(solve(rhs), reference(rhs))
+    assert steps >= min_steps
+    assert len(triangular) == len(schur)
+    for a, b, Linv in triangular:
+        assert np.array_equal(b, np.eye(prob.p))
+        assert np.array_equal(Linv, solve_triangular(a.T, b, lower=True))
+
+
+def test_lapack_shift_ladder_steps_bitwise_like_the_wrappers():
+    # smallest eigenvalue -1e-12 on a diagonal near 1.5: the equilibrated
+    # matrix fails at shifts 0 and 1e-14
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    w = np.linspace(1.0, 2.0, 40)
+    w[0] = -1e-12
+    S = (Q * w) @ Q.T
+    S = (S + S.T) / 2.0
+    solve = _factor_schur(S)
+    reference, shift = _wrapper_factor_schur(S)
+    assert shift == 1e-10
+    rhs = rng.standard_normal(40)
+    assert np.array_equal(solve(rhs), reference(rhs))
+    # indefinite beyond the last shift: no factor either way
+    assert _factor_schur(S - 0.1 * np.eye(40)) is None
+    assert _wrapper_factor_schur(S - 0.1 * np.eye(40)) == (None, None)
+
+
+@pytest.mark.parametrize("p", [6, 55, 136])
+def test_max_steps_bitwise_equal_one_matrix_at_a_time(p):
+    # the stacked eigvalsh of the step search against one call per matrix
+    rng = np.random.default_rng(p)
+    d = rng.uniform(1e-8, 1.0, p)
+    sq = np.sqrt(d)
+    for _ in range(5):
+        pair = []
+        for _ in range(2):
+            A = rng.standard_normal((p, p))
+            pair.append((A + A.T) / 2.0)
+        expected = []
+        for A in pair:
+            lo = float(np.linalg.eigvalsh(A / sq[:, None] / sq[None, :])[0])
+            expected.append(np.inf if lo >= -1e-14 else 1.0 / (-lo))
+        assert _max_steps(d, *pair) == tuple(expected)
+    assert _max_steps(d, np.eye(p), -np.eye(p))[0] == np.inf
+
+
+def test_factor_schur_keeps_the_wrappers_finiteness_checks():
+    S = np.eye(4) + 0.1
+    S[0, 2] = np.nan  # off the diagonal: dpotrf alone would factor it
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _factor_schur(S)
+    solve = _factor_schur(np.eye(4) + 0.1)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        solve(np.array([1.0, np.inf, 0.0, 0.0]))
 
 
 def test_solve_quadratic_matches_eigenvalue():
