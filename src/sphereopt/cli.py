@@ -116,7 +116,6 @@ def parse_poly(text, n=None):
                 raise ParseError("dangling sign", pos)
         coeff = sign
         exps = {}
-        saw_factor = False
         while True:
             if i == len(tokens):
                 raise ParseError("expected a number or variable", end_pos)
@@ -143,13 +142,13 @@ def parse_poly(text, n=None):
                 max_index = max(max_index, idx)
             else:
                 raise ParseError("expected a number or variable", pos)
-            saw_factor = True
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", end_pos)
+        # a term ends at a sign or at the end: "3x1^2" is not 3*x1^2
+        if i < len(tokens) and tokens[i][0] not in ("+", "-"):
+            raise ParseError("expected '+', '-' or '*'", tokens[i][2])
         key = tuple(sorted(exps.items()))
         terms[key] = terms.get(key, 0.0) + coeff
     if n is None:

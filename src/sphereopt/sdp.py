@@ -35,7 +35,7 @@ this problem class:
   S[k, m] = tr(B_k Y B_m Y), Y the inverse scaling point, with a dense
   Cholesky (LAPACK ``dpotrf``, solved with ``dpotrs``; the inverse
   triangular factor of the NT scaling comes from ``dtrtrs``), called
-  through ``scipy.linalg.lapack`` with the arguments the ``scipy.linalg``
+  from scipy's LAPACK extension with the arguments the ``scipy.linalg``
   wrappers pass, so the bits are theirs without the per-call cost of the
   wrappers.  The structural basis matrices B_k partition the p x p entry
   grid (entry (i, j) belongs to class i + j alone), so row k of S is the
@@ -48,21 +48,72 @@ this problem class:
 
 All arithmetic is deterministic: repeated solves of the same problem
 produce bitwise-identical iterates.
+
+The three LAPACK routines are the very objects ``scipy.linalg.lapack``
+exports, bound from scipy's compiled module ``scipy.linalg._flapack``.
+Importing ``scipy.linalg`` itself would cost most of a CLI call's start-up
+(its array-API layer imports ``numpy.f2py`` and ``numpy.testing``), so
+:func:`_lapack_routines` imports only the top-level ``scipy`` package,
+which checks the numpy version and sets up scipy's bundled libraries, and
+loads the extension file from ``scipy/linalg`` under its canonical name.
+A later ``import scipy.linalg`` finds that module in ``sys.modules`` and
+exports the same routines.  Where the file is not found or does not load
+(an editable or zipped scipy, say), the routines come from the public
+``scipy.linalg.lapack``; either way they are the same compiled code.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .harmonics import sphere_moment_vector
 from .multiindex import sym_dimension
 from .polymat import (HomoPoly, MaxSymMatrix, _pair_maps, multiply_r2,
                       poly_to_vector, vector_to_poly)
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack_routines():
+    """``dpotrf``, ``dpotrs`` and ``dtrtrs`` of scipy's LAPACK extension."""
+    flapack = sys.modules.get(FLAPACK)
+    if flapack is None:
+        flapack = _load_flapack()
+    return flapack.dpotrf, flapack.dpotrs, flapack.dtrtrs
+
+
+def _load_flapack():
+    """Load ``scipy.linalg._flapack`` without running scipy/linalg/__init__.
+
+    Falls back to the public ``scipy.linalg.lapack`` when the extension
+    file is missing or does not load.
+    """
+    import scipy
+    for base in scipy.__path__:
+        finder = FileFinder(os.path.join(base, "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(FLAPACK)
+        if spec is None:
+            continue
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            break
+        return sys.modules.setdefault(FLAPACK, module)
+    from scipy.linalg import lapack
+    return lapack
+
+
+dpotrf, dpotrs, dtrtrs = _lapack_routines()
 
 DEFAULT_MAX_P = 512
 MAX_P_ENV = "SPHEREOPT_MAX_P"

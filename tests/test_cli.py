@@ -70,6 +70,23 @@ def test_parse_poly_error_positions():
         parse_poly("x1^1e400 + x2^2")  # the exponent overflows to inf
 
 
+@pytest.mark.parametrize("text, position", [
+    ("3x1^2 + x2^2", 1),  # used to read as 3 + x1^2 + x2^2
+    ("x1^2 x2^2", 4),     # used to read as x1^2 + x2^2
+    ("2 3*x1^2", 1),      # used to read as 2 + 3*x1^2
+    ("3^2", 1),           # only a variable takes an exponent
+])
+def test_parse_poly_rejects_juxtaposed_terms(text, position):
+    with pytest.raises(ParseError) as caught:
+        parse_poly(text)
+    assert str(caught.value) == (f"parse error at position {position}: "
+                                 "expected '+', '-' or '*'")
+    assert caught.value.position == position
+    code, out, err = _run(["--poly", text])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"sphereopt: {caught.value}\n"
+
+
 def test_tokenize_positions_and_errors():
     # a token's position is where its match starts, before any whitespace
     assert cli._tokenize(" x12 *3.5 ") == [("var", 12, 0), ("*", None, 4),

@@ -59,3 +59,25 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     assert got.stdout.strip() == "[]"
+
+
+# modules that importing scipy.linalg pulls in; the LAPACK routines are
+# loaded without it, and nothing on the CLI path may import it later
+SCIPY_LINALG_ONLY = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+
+
+def test_cold_cli_call_leaves_scipy_linalg_unloaded():
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import sphereopt.cli as cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['--poly', 'x1^4 + x2^4 - 3*x1^2*x2^2',\n"
+        "                     '--certificate', '--oracle', '--format', 'json'])\n"
+        "assert code == 0 and json.loads(out.getvalue())['certificate']\n"
+        f"print(sorted(set({SCIPY_LINALG_ONLY!r}) & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    got = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"

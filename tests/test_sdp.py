@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -411,6 +417,104 @@ def test_factor_schur_keeps_the_wrappers_finiteness_checks():
     solve = _factor_schur(np.eye(4) + 0.1)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         solve(np.array([1.0, np.inf, 0.0, 0.0]))
+
+
+def _probe(tmp_path, code, *args):
+    """Run code in a fresh interpreter; return its last stdout line as JSON.
+
+    pytest has imported scipy.linalg in this process already, so how sdp
+    binds its LAPACK routines from a cold start shows only in a new one.
+    """
+    src = pathlib.Path(sdp_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    got = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == ""
+    return json.loads(got.stdout.splitlines()[-1])
+
+
+# prints where the loaded extension lives and whether sdp's routines are
+# the ones scipy.linalg.lapack exports
+LAPACK_ORIGIN = """
+import json, sys
+flapack = sys.modules["scipy.linalg._flapack"]
+print(json.dumps({
+    "file": flapack.__file__,
+    "same": [getattr(sdp, f) is getattr(lapack, f)
+             for f in ("dpotrf", "dpotrs", "dtrtrs")]}))
+"""
+
+
+def test_lapack_routines_are_scipys_in_either_import_order(tmp_path):
+    # sdp registers the module it loads, and scipy.linalg then uses it
+    sdp_first = _probe(tmp_path,
+                       "import sys\n"
+                       "import sphereopt.sdp as sdp\n"
+                       "assert 'scipy.linalg' not in sys.modules\n"
+                       "loaded = sys.modules['scipy.linalg._flapack']\n"
+                       "import scipy.linalg.lapack as lapack\n"
+                       "assert lapack._flapack is loaded\n"
+                       + LAPACK_ORIGIN)
+    # sdp reuses the loaded module and never looks for the file
+    scipy_first = _probe(tmp_path,
+                         "import scipy.linalg.lapack as lapack\n"
+                         "import importlib.machinery\n"
+                         "importlib.machinery.FileFinder = None\n"
+                         "import sphereopt.sdp as sdp\n" + LAPACK_ORIGIN)
+    assert sdp_first["same"] == scipy_first["same"] == [True] * 3
+    assert sdp_first["file"] == scipy_first["file"]
+    assert pathlib.Path(sdp_first["file"]).parent.name == "linalg"
+
+
+# a random quartic in 6 variables at level 3 (p = 56, q = 462); y, t and Z
+# go to the .npz file named by the first argument
+LAPACK_SOLVE = """
+import json, sys
+import numpy as np
+import sphereopt.sdp as sdp
+from sphereopt.multiindex import basis_catalog
+from sphereopt.polymat import vector_to_poly
+linalg_loaded = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack
+w = np.random.default_rng(0).standard_normal(len(basis_catalog(6, 4)))
+T = vector_to_poly(6, 4, w / np.abs(w).sum())
+sol = sdp.solve_sdp(sdp.build_relaxation(T, 3))
+np.savez(sys.argv[1], y=sol.M_star.vec, t=sol.t_star, Z=sol.Z_star)
+print(json.dumps({
+    "status": sol.status,
+    "linalg_loaded": linalg_loaded,
+    "same": [getattr(sdp, f) is getattr(lapack, f)
+             for f in ("dpotrf", "dpotrs", "dtrtrs")]}))
+"""
+
+# each makes the extension-file route fail before sdp loads, which leaves
+# the public scipy.linalg.lapack
+LAPACK_FALLBACKS = {
+    # the import system keeps its own list of suffixes
+    "finder_misses": (
+        "import importlib.machinery\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = []\n"),
+    "load_raises": (
+        "import importlib.util\n"
+        "def refuse(spec):\n"
+        "    raise ImportError('refused')\n"
+        "importlib.util.module_from_spec = refuse\n"),
+}
+
+
+@pytest.mark.parametrize("fallback", sorted(LAPACK_FALLBACKS))
+def test_lapack_fallback_binds_the_public_routines_bitwise(tmp_path,
+                                                           fallback):
+    direct = _probe(tmp_path, LAPACK_SOLVE, "direct.npz")
+    public = _probe(tmp_path, LAPACK_FALLBACKS[fallback] + LAPACK_SOLVE,
+                    "fallback.npz")
+    expected = {"status": STATUS_OPTIMAL, "same": [True] * 3}
+    assert direct == dict(expected, linalg_loaded=False)
+    assert public == dict(expected, linalg_loaded=True)
+    a, b = np.load(tmp_path / "direct.npz"), np.load(tmp_path / "fallback.npz")
+    for key in ("y", "t", "Z"):
+        assert np.array_equal(a[key], b[key]), key
 
 
 def test_solve_quadratic_matches_eigenvalue():
