@@ -18,8 +18,7 @@ from .harmonics import (EpsBound, definetti_eps, integrate_poly, lambda_coeff,
 from .multiindex import basis_catalog, sym_dimension
 from .oracle import OracleResult, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
-                      multiply_r2, partial_trace_sym, poly_to_vector,
-                      vector_to_poly)
+                      multiply_r2, poly_to_vector, vector_to_poly)
 from .reduction import (ReductionRecord, canonicalize, gamma_factor,
                         homogenize_terms, lift_odd, pullback_bounds)
 from .sdp import (DEFAULT_MAX_P, DEFAULT_MIN_COND_RATIO, ResourceGuardError,
@@ -41,7 +40,7 @@ __all__ = [
     "gamma_factor", "gradient", "homo_poly", "homogenize_terms",
     "integrate_poly", "lambda_coeff", "lift_odd", "lower_bound",
     "measure_density", "moment_matrix_of_density", "moment_table",
-    "multiply_r2", "partial_trace_sym", "poly_to_vector", "pullback_bounds",
+    "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",
     "sphere_moment_vector", "surface_area", "sym_dimension",
     "uniform_conditioning", "vector_to_poly",

@@ -35,15 +35,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .harmonics import (definetti_eps, integrate_poly, lambda_coeff,
-                        moment_table, surface_area)
+from .harmonics import (definetti_eps, lambda_coeff, moment_table,
+                        surface_area)
 from .multiindex import basis_catalog, catalog_rank
-from .polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs, _vec_scale,
-                      evaluate, partial_trace_sym, poly_to_vector)
+from .polymat import (MaxSymMatrix, _trace_gather, _vec_scale, evaluate,
+                      poly_to_vector)
 from .sdp import solve_sdp
 
 
@@ -54,20 +54,36 @@ def density_constant(n, level):
 
 @dataclass(frozen=True, eq=False)
 class SphereMeasureDensity:
-    """Probability density rho_M = c Q_M on the unit sphere."""
+    """Probability density rho_M = c Q_M on the unit sphere.
 
-    n: int
-    level: int
+    ``coeffs`` holds the coefficients of rho_M over the degree-2l catalog;
+    ``poly`` is the same density as a polynomial, built on first use.
+    """
+
     state: MaxSymMatrix
-    poly: HomoPoly
     constant: float
+    coeffs: np.ndarray
+
+    @property
+    def n(self):
+        return self.state.n
+
+    @property
+    def level(self):
+        return self.state.ell
+
+    @cached_property
+    def poly(self):
+        # the terms of Q_M times c: the values of ``coeffs`` at the nonzero
+        # coefficients of Q_M, bit for bit
+        return self.state.to_poly().scaled(self.constant)
 
     def __call__(self, x):
         return evaluate(self.poly, x)
 
     def mass(self):
         """Exact total integral; equals one up to roundoff."""
-        return integrate_poly(self.poly)
+        return float(moment_table(self.n, 2 * self.level) @ self.coeffs)
 
 
 def measure_density(M, psd_tol=1e-7):
@@ -85,8 +101,8 @@ def measure_density(M, psd_tol=1e-7):
         raise ValueError("state must be positive semidefinite, "
                          f"lowest eigenvalue {eig[0]:.3e}")
     c = density_constant(M.n, M.ell)
-    return SphereMeasureDensity(n=M.n, level=M.ell, state=M,
-                                poly=M.to_poly().scaled(c), constant=c)
+    return SphereMeasureDensity(
+        state=M, constant=c, coeffs=c * (M.vec * _vec_scale(M.n, 2 * M.ell)))
 
 
 @lru_cache(maxsize=None)
@@ -107,22 +123,29 @@ def moment_matrix_of_density(density, a):
     """
     if a < 1:
         raise ValueError("moment matrix level must be positive")
-    n, g = density.n, density.poly
-    S = _sum_index_map(n, 2 * a, g.degree)
-    # entry k is the integral of x^k g; summing onto zeros keeps the
+    n, degree = density.n, 2 * density.level
+    S = _sum_index_map(n, 2 * a, degree)
+    # entry k is the integral of x^k rho; summing onto zeros keeps the
     # zero entries +0.0
     v = np.zeros(len(S))
-    v += moment_table(n, 2 * a + g.degree)[S] @ _catalog_coeffs(g)
+    v += moment_table(n, 2 * a + degree)[S] @ density.coeffs
     return MaxSymMatrix(n, a, _vec_scale(n, 2 * a) * v)
 
 
 def reduced_state(M, a):
-    """Physical reduction of a level-l state to level a <= l."""
+    """Physical reduction of a level-l state to level a <= l: l - a
+    single-system traces, each a gather on the coordinates; the trace and
+    positive semidefiniteness of M are kept."""
     if not 1 <= a <= M.ell:
         raise ValueError("reduction level must lie in [1, ell]")
-    if a == M.ell:
-        return M
-    return partial_trace_sym(M, M.ell - a)
+    vec = M.vec
+    for level in range(M.ell, a, -1):
+        idx, w, norm = _trace_gather(M.n, level)
+        out = vec[idx[0]] * w[0]
+        for t in range(1, M.n):
+            out += vec[idx[t]] * w[t]
+        vec = out / norm
+    return M if a == M.ell else MaxSymMatrix(M.n, a, vec)
 
 
 def candidate_points(M):

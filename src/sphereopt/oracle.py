@@ -28,6 +28,10 @@ from .polymat import _row_sums, evaluate, gradient
 # Restarts ascend together in batches of at most this many, which bounds
 # the memory of a call whatever the restart count.
 CHUNK = 32
+# A row of the ascent gives up after this many improving steps; its first
+# trial step has this length.
+MAX_STEPS = 500
+INITIAL_STEP = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +80,24 @@ def _unit_scale(T):
     return math.ldexp(1.0, -top - math.frexp(l1)[1])
 
 
-def _ascend(T, X, max_iterations, initial_step):
+def _ascend(T, X):
     """Ascend from each unit row of X; returns (points, values, converged).
 
     Every round, each live row tries one step of its current length.  An
     improving step is taken and the next trial is 1.5 times longer; a
     failing one halves the length.  A row stops, converged, when no step
     above 1e-14 improves or a step moves it less than 1e-12, and stops
-    unconverged after ``max_iterations`` taken steps.  Every operation acts
+    unconverged after ``MAX_STEPS`` taken steps.  Every operation acts
     on each row on its own, so a row's trajectory does not depend on the
     other rows in the batch.
     """
     X = np.array(X, dtype=float)
     fx = evaluate(T, X)
     G = _tangent(T, X)
-    eta = np.full(len(X), float(initial_step))
+    eta = np.full(len(X), INITIAL_STEP)
     taken = np.zeros(len(X), dtype=np.int64)
     converged = np.zeros(len(X), dtype=bool)
-    live = np.arange(len(X)) if max_iterations > 0 else np.arange(0)
+    live = np.arange(len(X))
     while live.size:
         x = X[live]
         cand = x + eta[live, None] * G[live]
@@ -106,7 +110,7 @@ def _ascend(T, X, max_iterations, initial_step):
         eta[live] *= np.where(up, 1.5, 0.5)
         stop = np.where(up, _row_norms(cand - x) < 1e-12, eta[live] <= 1e-14)
         converged[live[stop]] = True
-        keep = ~stop & (taken[live] < max_iterations)
+        keep = ~stop & (taken[live] < MAX_STEPS)
         fresh = live[up & keep]
         if fresh.size:
             G[fresh] = _tangent(T, X[fresh])
@@ -117,16 +121,15 @@ def _ascend(T, X, max_iterations, initial_step):
 def polish(T, X):
     """Ascend T from each unit row of X; returns (points, values of T).
 
-    The ascent of :func:`sphere_maximize` at its default settings, from
-    given points: it runs on T scaled to unit l1 norm by a power of two,
-    and the values are T itself at the points reached.
+    The ascent of :func:`sphere_maximize`, from given points: it runs on T
+    scaled to unit l1 norm by a power of two, and the values are T itself
+    at the points reached.
     """
-    X, _, _ = _ascend(T.scaled(_unit_scale(T)), X, 500, 0.1)
+    X, _, _ = _ascend(T.scaled(_unit_scale(T)), X)
     return X, evaluate(T, X)
 
 
-def sphere_maximize(T, restarts=32, max_iterations=500, initial_step=0.1,
-                    seed=0):
+def sphere_maximize(T, restarts=32, seed=0):
     """Estimate max of T over the unit sphere by multistart tangent ascent.
 
     Each restart draws a uniform starting point from its own child seed, and
@@ -137,10 +140,10 @@ def sphere_maximize(T, restarts=32, max_iterations=500, initial_step=0.1,
     for an integer k that neither overflows nor underflows a coefficient,
     ``sphere_maximize(2^k T)`` finds the same points as
     ``sphere_maximize(T)`` and 2^k times its value.  Steps start at
-    ``initial_step``; an improving step makes the next trial 1.5 times
+    ``INITIAL_STEP``; an improving step makes the next trial 1.5 times
     longer and a failing one halves it.  A restart converges when no step
     above 1e-14 improves or a step moves it less than 1e-12, and gives up
-    after ``max_iterations`` improving steps.  Restarts ascend in lock step,
+    after ``MAX_STEPS`` improving steps.  Restarts ascend in lock step,
     in batches of at most ``CHUNK``.  The result holds the best point, T
     evaluated there, and the convergence flag of that restart.
     """
@@ -151,8 +154,7 @@ def sphere_maximize(T, restarts=32, max_iterations=500, initial_step=0.1,
     for r0 in range(0, restarts, CHUNK):
         starts = [_start_point(T.n, seed, r)
                   for r in range(r0, min(r0 + CHUNK, restarts))]
-        X, fx, converged = _ascend(unit, starts, max_iterations,
-                                   initial_step)
+        X, fx, converged = _ascend(unit, starts)
         k = int(np.argmax(fx))
         if fx[k] > best_val:
             best_val, best_x, best_conv = fx[k], X[k], bool(converged[k])

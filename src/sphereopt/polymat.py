@@ -20,7 +20,13 @@ The single-system partial trace acts on number states as
     tr_1 |i><j| = (1/l) sum_t sqrt(i_t j_t) |i - e_t><j - e_t|
 
 and, composed with the encoding, realizes the Laplacian:
-Z_{Lap T} = d (d - 1) tr_1 Z_T for d = deg T.
+Z_{Lap T} = d (d - 1) tr_1 Z_T for d = deg T.  On the coordinates of a
+maximally symmetric matrix at level l it is therefore a gather over the
+degree-(2l - 2) catalog,
+
+    (tr_1 v)_j = sum_t sqrt((j_t + 1)(j_t + 2)) v_{j + 2e_t} / sqrt(2l(2l - 1))
+
+with no p x p matrix in between (:func:`_trace_gather`).
 
 Everything here is dense over the C(2a + n - 1, 2a) coefficient vector, never
 over the n^{2a} product space.
@@ -258,6 +264,23 @@ def _pair_maps(n, level):
     return KK, WW, tau
 
 
+@lru_cache(maxsize=None)
+def _trace_gather(n, level):
+    """Gather map of the single-system partial trace at ``level``.
+
+    Returns (idx, w, norm) over the degree-(2 level - 2) catalog E:
+    idx[t, j] is the position of E[j] + 2 e_t in the degree-2 level
+    catalog, w[t, j] = sqrt((E[j, t] + 1)(E[j, t] + 2)) and
+    norm = sqrt(2 level (2 level - 1)).
+    """
+    E = basis_catalog(n, 2 * level - 2)
+    idx = catalog_rank(E, 2 * np.eye(n, dtype=np.int64)[:, None, :])
+    w = np.sqrt((E.T + 1.0) * (E.T + 2.0))
+    for arr in (idx, w):
+        arr.setflags(write=False)
+    return idx, w, math.sqrt(2 * level * (2 * level - 1))
+
+
 @dataclass(frozen=True, eq=False)
 class MaxSymMatrix:
     """Maximally symmetric matrix on Sym((R^n)^{(x)ell}).
@@ -316,7 +339,12 @@ class MaxSymMatrix:
 
 
 def multiply_r2(T, k):
-    """T * (x_1^2 + ... + x_n^2)^k; exact on coefficients."""
+    """T * (x_1^2 + ... + x_n^2)^k; exact on coefficients.
+
+    Sums that cancel stay as exact zeros (dropping them would reorder the
+    next round's sums and move the bits of deep-level objectives), so the
+    result is meant for :func:`poly_to_vector`.
+    """
     if k < 0:
         raise ValueError("power of r^2 must be nonnegative")
     if not T.coeffs:
@@ -330,55 +358,3 @@ def multiply_r2(T, k):
                 nxt[key] = nxt.get(key, 0.0) + a
         cur = nxt
     return HomoPoly(T.n, T.degree + 2 * k, cur)
-
-
-@lru_cache(maxsize=None)
-def _trace_maps(n, level):
-    """Per-variable gather maps for the single-system partial trace."""
-    E = basis_catalog(n, level)
-    drop = -np.eye(n, dtype=np.int64)
-    maps = []
-    for t in range(n):
-        src = np.flatnonzero(E[:, t] > 0).astype(np.int64)
-        maps.append((src, catalog_rank(E[src], drop[t]),
-                     np.sqrt(E[src, t].astype(float))))
-    return tuple(maps), sym_dimension(n, level - 1)
-
-
-def partial_trace_matrix(A, n, level):
-    """Trace out one tensor factor of a matrix on Sym((R^n)^{(x)level}).
-
-    Implements tr_1 |i><j| = (1/level) sum_t sqrt(i_t j_t) |i-e_t><j-e_t| in
-    number-state coordinates; valid for any matrix on the symmetric
-    subspace, maximally symmetric or not.
-    """
-    if level < 1:
-        raise ValueError("nothing to trace out at level 0")
-    A = np.asarray(A, dtype=float)
-    p = sym_dimension(n, level)
-    if A.shape != (p, p):
-        raise ValueError(f"expected a {p} x {p} matrix")
-    maps, p1 = _trace_maps(n, level)
-    out = np.zeros((p1, p1))
-    for src, dst, wts in maps:
-        if len(src) == 0:
-            continue
-        out[np.ix_(dst, dst)] += A[np.ix_(src, src)] * np.outer(wts, wts)
-    out /= level
-    return (out + out.T) / 2.0
-
-
-def partial_trace_sym(M, b):
-    """Trace out b of the ell tensor systems of a maximally symmetric matrix.
-
-    The result is again maximally symmetric, with the same trace; positive
-    semidefiniteness is preserved.
-    """
-    if not 0 < b < M.ell:
-        raise ValueError("need 0 < b < ell systems traced out")
-    A = np.array(M.matrix)
-    level = M.ell
-    for _ in range(b):
-        A = partial_trace_matrix(A, M.n, level)
-        level -= 1
-    return MaxSymMatrix.from_matrix(M.n, level, A)

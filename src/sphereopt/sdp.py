@@ -225,7 +225,6 @@ class SdpProblem:
     a: int
     ell: int
     target: HomoPoly
-    objective_poly: HomoPoly
     objective: np.ndarray
     tau: np.ndarray
     p: int
@@ -343,15 +342,13 @@ def build_relaxation(T, level, max_p=None):
     if level < a:
         raise ValueError(f"level must be at least {a} for degree {T.degree}")
     check_level(T.n, level, max_p)
-    objective_poly = multiply_r2(T, level - a)
-    c = poly_to_vector(objective_poly)
+    c = poly_to_vector(multiply_r2(T, level - a))
     if not np.isfinite(c).all():
         raise ValueError(
             f"level {level} objective overflows a float once padded by "
             f"r^{2 * (level - a)}; scale the coefficients down")
     _, _, tau = _pair_maps(T.n, level)
-    return SdpProblem(n=T.n, a=a, ell=level, target=T,
-                      objective_poly=objective_poly, objective=c,
+    return SdpProblem(n=T.n, a=a, ell=level, target=T, objective=c,
                       tau=np.array(tau), p=sym_dimension(T.n, level),
                       q=sym_dimension(T.n, 2 * level))
 

@@ -8,7 +8,9 @@ the tests instead of shipping with the package:
 * brute-force product-space constructions (explicit number states and the
   explicit symmetrizer), guarded to small sizes;
 * polynomial identities: the Laplacian and its partial-trace route, powers
-  of r^2, the matrix encoding of a polynomial;
+  of r^2, the matrix encoding of a polynomial, and the dense partial trace
+  of a p x p matrix, against which the package's gather on coordinates is
+  tested;
 * spherical-harmonic analysis: harmonic dimensions, Gegenbauer
   polynomials, kernel-coefficient ratios and their gap bounds, monomial
   moments, the harmonic decomposition and the Funk-Hecke identity;
@@ -27,6 +29,7 @@ modules import it as ``from reference import ...``.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +38,12 @@ from sphereopt.definetti import (_sum_index_map, measure_density,
                                  moment_matrix_of_density, reduced_state)
 from sphereopt.harmonics import (_moment_cached, lambda_coeff, moment_table,
                                  sphere_moment_vector, surface_area)
-from sphereopt.multiindex import basis_catalog, exponent_tuple, sym_dimension
+from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
+                                  sym_dimension)
 from sphereopt.oracle import OracleResult, _restart_rng, sphere_maximize
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
                                _vec_scale, evaluate, gradient, homo_poly,
-                               multiply_r2,
-                               partial_trace_matrix, poly_to_vector,
-                               vector_to_poly)
+                               multiply_r2, poly_to_vector, vector_to_poly)
 
 
 # Number states and the symmetrizer in the n^l product space.
@@ -159,6 +161,42 @@ def laplacian(T):
                 else:
                     out[key] = s
     return HomoPoly(T.n, T.degree - 2, out)
+
+
+@lru_cache(maxsize=None)
+def _trace_maps(n, level):
+    """Per-variable gather maps for the single-system partial trace."""
+    E = basis_catalog(n, level)
+    drop = -np.eye(n, dtype=np.int64)
+    maps = []
+    for t in range(n):
+        src = np.flatnonzero(E[:, t] > 0).astype(np.int64)
+        maps.append((src, catalog_rank(E[src], drop[t]),
+                     np.sqrt(E[src, t].astype(float))))
+    return tuple(maps), sym_dimension(n, level - 1)
+
+
+def partial_trace_matrix(A, n, level):
+    """Trace out one tensor factor of a matrix on Sym((R^n)^{(x)level}).
+
+    Implements tr_1 |i><j| = (1/level) sum_t sqrt(i_t j_t) |i-e_t><j-e_t| in
+    number-state coordinates; valid for any matrix on the symmetric
+    subspace, maximally symmetric or not.
+    """
+    if level < 1:
+        raise ValueError("nothing to trace out at level 0")
+    A = np.asarray(A, dtype=float)
+    p = sym_dimension(n, level)
+    if A.shape != (p, p):
+        raise ValueError(f"expected a {p} x {p} matrix")
+    maps, p1 = _trace_maps(n, level)
+    out = np.zeros((p1, p1))
+    for src, dst, wts in maps:
+        if len(src) == 0:
+            continue
+        out[np.ix_(dst, dst)] += A[np.ix_(src, src)] * np.outer(wts, wts)
+    out /= level
+    return (out + out.T) / 2.0
 
 
 def laplacian_via_trace_check(T, tol=1e-10):

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.definetti import (BoundsReport, candidate_points,
-                                 density_constant, lower_bound,
-                                 measure_density, moment_matrix_of_density,
-                                 reduced_state, solve_and_report)
-from sphereopt.harmonics import definetti_eps, sphere_moment_vector
+from sphereopt.definetti import (BoundsReport, _sum_index_map,
+                                 candidate_points, density_constant,
+                                 lower_bound, measure_density,
+                                 moment_matrix_of_density, reduced_state,
+                                 solve_and_report)
+from sphereopt.harmonics import (definetti_eps, moment_table,
+                                 sphere_moment_vector)
 from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import MaxSymMatrix, homo_poly, vector_to_poly
+from sphereopt.polymat import (MaxSymMatrix, _catalog_coeffs, _vec_scale,
+                               homo_poly, poly_to_vector, vector_to_poly)
 from sphereopt.sdp import build_relaxation
 
 from reference import (definetti_trace_check, f1_distance_lower_estimate,
@@ -58,6 +61,37 @@ def test_measure_density_validates_state():
     with pytest.raises(ValueError, match="semidefinite"):
         measure_density(bad)
     measure_density(bad, psd_tol=2.0)  # loose tolerance lets it through
+
+
+def _dict_route_lower_bound(T, poly):
+    # the average of T against a density given as a polynomial dict, by
+    # the dense coefficient vector of that dict
+    n, a = T.n, T.degree // 2
+    S = _sum_index_map(n, 2 * a, poly.degree)
+    v = np.zeros(len(S))
+    v += moment_table(n, 2 * a + poly.degree)[S] @ _catalog_coeffs(poly)
+    return float(poly_to_vector(T) @ (_vec_scale(n, 2 * a) * v))
+
+
+@pytest.mark.parametrize("n, levels", [(2, (1, 3, 6)), (3, (1, 2, 5)),
+                                       (4, (2, 3)), (5, (2, 3)), (6, (2,))])
+def test_density_vector_matches_the_polynomial_route(n, levels):
+    # the density's coefficient vector gives bit for bit what its
+    # polynomial c * Q_M gave, in the report's terms and in the bound
+    for level in levels:
+        for seed in range(3):
+            M = random_msym_state(n, level, seed=seed)
+            density = measure_density(M)
+            poly = M.to_poly().scaled(density_constant(n, level))
+            assert list(density.poly.coeffs.items()) == list(
+                poly.coeffs.items())
+            assert density.mass() == pytest.approx(1.0, abs=1e-12)
+            for a in range(1, min(level, 2) + 1):
+                T = vector_to_poly(n, 2 * a, np.random.default_rng(
+                    [seed, n, level, a]).standard_normal(
+                        len(basis_catalog(n, 2 * a))))
+                assert lower_bound(T, density) == _dict_route_lower_bound(
+                    T, poly)
 
 
 def test_moment_matrix_of_density_is_a_state():

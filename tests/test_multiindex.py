@@ -6,7 +6,7 @@ import pytest
 from sphereopt.definetti import _sum_index_map
 from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
                                   sym_dimension)
-from sphereopt.polymat import _pair_maps, _trace_maps
+from sphereopt.polymat import _pair_maps, _trace_gather
 
 from reference import (dense_number_state, dense_symmetrizer,
                        number_state_overlap)
@@ -134,18 +134,17 @@ def test_pair_and_trace_maps_match_dict_lookup(n, level):
     KK = _pair_maps(n, level)[0]
     assert KK.dtype == np.int64
     assert np.array_equal(KK, _reference_sum_map(n, level, level))
-    listed = _listing(n, level)
-    below = {e: pos for pos, e in enumerate(_listing(n, level - 1))}
-    maps, size = _trace_maps(n, level)
-    assert size == len(below)
-    for t, (src, dst, wts) in enumerate(maps):
-        rows = [pos for pos, mi in enumerate(listed) if mi[t] > 0]
-        assert src.dtype == dst.dtype == np.int64
-        assert np.array_equal(src, rows)
-        dropped = [listed[r][:t] + (listed[r][t] - 1,) + listed[r][t + 1:]
-                   for r in rows]
-        assert np.array_equal(dst, [below[e] for e in dropped])
-        assert np.array_equal(wts, [math.sqrt(listed[r][t]) for r in rows])
+    # the trace gathers j + 2 e_t for every j of degree 2 level - 2
+    below = _listing(n, 2 * level - 2)
+    above = {e: pos for pos, e in enumerate(_listing(n, 2 * level))}
+    idx, w, norm = _trace_gather(n, level)
+    assert idx.dtype == np.int64 and idx.shape == (n, len(below))
+    for t in range(n):
+        raised = [j[:t] + (j[t] + 2,) + j[t + 1:] for j in below]
+        assert np.array_equal(idx[t], [above[e] for e in raised])
+        assert np.array_equal(w[t], [math.sqrt((j[t] + 1) * (j[t] + 2))
+                                     for j in below])
+    assert norm == math.sqrt(2 * level * (2 * level - 1))
 
 
 def test_number_state_overlap_small_values():

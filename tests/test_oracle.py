@@ -74,12 +74,12 @@ def test_restart_trajectory_does_not_depend_on_its_batch(n, degree):
     T = _random_poly(n, degree, 40 + n)
     unit = T.scaled(oracle._unit_scale(T))
     starts = np.array([oracle._start_point(n, 3, r) for r in range(16)])
-    X, fx, conv = oracle._ascend(unit, starts, 500, 0.1)
-    Xb, fxb, convb = oracle._ascend(unit, starts[::-1], 500, 0.1)
+    X, fx, conv = oracle._ascend(unit, starts)
+    Xb, fxb, convb = oracle._ascend(unit, starts[::-1])
     assert np.array_equal(X, Xb[::-1]) and np.array_equal(fx, fxb[::-1])
     assert np.array_equal(conv, convb[::-1])
     for r in range(16):
-        Xr, fr, cr = oracle._ascend(unit, starts[r:r + 1], 500, 0.1)
+        Xr, fr, cr = oracle._ascend(unit, starts[r:r + 1])
         assert np.array_equal(Xr[0], X[r])
         assert fr[0] == fx[r] and cr[0] == conv[r]
 
