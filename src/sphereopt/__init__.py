@@ -10,8 +10,7 @@ at an explicit o(1) rate in the level.
 """
 
 from .definetti import (BoundsReport, SphereMeasureDensity, density_constant,
-                        lower_bound, measure_density,
-                        moment_matrix_of_density, reduced_state,
+                        lower_bound, measure_density, reduced_state,
                         solve_and_report)
 from .harmonics import (EpsBound, definetti_eps, integrate_poly, lambda_coeff,
                         moment_table, sphere_moment_vector, surface_area)
@@ -39,7 +38,7 @@ __all__ = [
     "density_constant", "evaluate", "extract_sos_certificate",
     "gamma_factor", "gradient", "homo_poly", "homogenize_terms",
     "integrate_poly", "lambda_coeff", "lift_odd", "lower_bound",
-    "measure_density", "moment_matrix_of_density", "moment_table",
+    "measure_density", "moment_table",
     "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",
     "sphere_moment_vector", "surface_area", "sym_dimension",

@@ -21,8 +21,8 @@ parses back to the same double), and JSON mode emits one strict JSON
 object per level on its own line (one for the automatic level); a value
 JSON cannot carry, such as an infinite bound, exits 3 before any output.
 
-Exit codes: 0 success, 2 malformed input or arguments, 3 solver did not
-reach an optimal status, 4 problem size above the resource guard.
+Exit codes: 0 success, 2 malformed input or arguments, 3 no optimal status
+(in a climb: at no level), 4 problem size above the resource guard.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import sys
 import numpy as np
 
 from .definetti import candidate_points, solve_and_report
-from .harmonics import definetti_eps
 from .oracle import polish, sphere_maximize
 from .polymat import evaluate
 from .reduction import (canonicalize, pullback_bounds, pullback_points,
@@ -49,8 +48,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_RESOURCE = 4
-
-MAX_AUTO_LEVEL = 64
 
 
 class ParseError(ValueError):
@@ -219,28 +216,21 @@ def _poly_str(terms, names):
 
 
 def choose_level(n, a, max_p):
-    """Top of the automatic climb: the least level with a priori eps <= 1/2.
+    """Top of the automatic climb: the deepest level the guards accept.
 
-    Starts at the base level a and climbs while the bound exceeds one half
-    and :func:`sphereopt.sdp.check_level` accepts the next level, up to
-    ``MAX_AUTO_LEVEL``; so it falls back to the deepest level within the
-    size guard, the Schur-memory guard and the conditioning floor.  Raises
-    ResourceGuardError when even the base level is out of reach.  The CLI
-    computes this level only once a solved level of the climb leaves the
-    window open, and solves it only when no lower level closes the window.
+    Climbs from the base level a while :func:`sphereopt.sdp.check_level`
+    accepts the next level; raises ResourceGuardError when even the base
+    level is out of reach.  The CLI computes this level only once a solved
+    level of the climb leaves the window open.
     """
     check_level(n, a, max_p)
     level = a
-    while level < MAX_AUTO_LEVEL:
-        eps = definetti_eps(a, level, n)
-        if eps.valid and eps.value <= 0.5:
-            break
+    while True:
         try:
             check_level(n, level + 1, max_p)
         except ResourceGuardError:
-            break
+            return level
         level += 1
-    return level
 
 
 def _build_parser():
@@ -421,15 +411,21 @@ def _climb(problem, record, args, max_p):
     top, or at a level the guards or the padding refuse.  The top,
     :func:`choose_level`, is computed only once a solved level leaves the
     window open.  Returns the last level's (report, solution) and the
-    fields the climb adds to its payload.
+    fields the climb adds to its payload, or, after a solve that is not
+    optimal, those of the optimal level with the least upper bound.
     """
     levels = []
-    value, point, closed, top = -math.inf, None, False, None
+    value, point, closed, top, best = -math.inf, None, False, None, None
     while True:
         report, solution = _solve(problem, record, args)
         levels.append(problem.ell)
         if solution.status != STATUS_OPTIMAL:
+            if best is not None:
+                report, solution = best
+                closed = _closes(report.nu_upper, value, args.tol)
             break
+        if best is None or report.nu_upper < best[0].nu_upper:
+            best = report, solution
         found = _best_point(record, solution.M_star, report.nu_upper,
                             args.tol)
         if found[0] > value:

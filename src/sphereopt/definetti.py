@@ -28,20 +28,23 @@ distance itself.
 
 Averaging the objective itself against rho_M gives a certified lower
 bound on its sphere maximum that complements the relaxation's upper
-bound; :func:`solve_and_report` computes the pair.
+bound; :func:`solve_and_report` computes the pair.  By Funk-Hecke the
+average scales harmonic layer j of the objective by lambda(n, l, j) /
+lambda(n, l, 0); the single-system trace, the adjoint of padding by r^2,
+scales each layer by a known constant, so :func:`lower_bound` is a
+positive-weighted sum along the trace chains of the objective and of M.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .harmonics import (definetti_eps, lambda_coeff, moment_table,
-                        surface_area)
-from .multiindex import basis_catalog, catalog_rank
+from .harmonics import definetti_eps, lambda_coeff, moment_table, surface_area
 from .polymat import (MaxSymMatrix, _trace_gather, _vec_scale, evaluate,
                       poly_to_vector)
 from .sdp import solve_sdp
@@ -105,31 +108,13 @@ def measure_density(M, psd_tol=1e-7):
         state=M, constant=c, coeffs=c * (M.vec * _vec_scale(M.n, 2 * M.ell)))
 
 
-@lru_cache(maxsize=None)
-def _sum_index_map(n, d1, d2):
-    """Positions in catalog(n, d1 + d2) of every exponent sum, (m1, m2)."""
-    out = catalog_rank(basis_catalog(n, d1)[:, None, :],
-                       basis_catalog(n, d2)[None, :, :])
-    out.setflags(write=False)
-    return out
-
-
-def moment_matrix_of_density(density, a):
-    """Level-a moment matrix of the measure: averages of |x><x|^{(x)a}.
-
-    The result is a true moment matrix (positive semidefinite, unit trace
-    up to roundoff) for any probability density, computed by exact
-    polynomial integration.
-    """
-    if a < 1:
-        raise ValueError("moment matrix level must be positive")
-    n, degree = density.n, 2 * density.level
-    S = _sum_index_map(n, 2 * a, degree)
-    # entry k is the integral of x^k rho; summing onto zeros keeps the
-    # zero entries +0.0
-    v = np.zeros(len(S))
-    v += moment_table(n, 2 * a + degree)[S] @ density.coeffs
-    return MaxSymMatrix(n, a, _vec_scale(n, 2 * a) * v)
+def _trace_step(vec, n, level):
+    """Single-system trace of level-``level`` coordinates (adjoint of r^2)."""
+    idx, w, norm = _trace_gather(n, level)
+    out = vec[idx[0]] * w[0]
+    for t in range(1, n):
+        out += vec[idx[t]] * w[t]
+    return out / norm
 
 
 def reduced_state(M, a):
@@ -140,11 +125,7 @@ def reduced_state(M, a):
         raise ValueError("reduction level must lie in [1, ell]")
     vec = M.vec
     for level in range(M.ell, a, -1):
-        idx, w, norm = _trace_gather(M.n, level)
-        out = vec[idx[0]] * w[0]
-        for t in range(1, M.n):
-            out += vec[idx[t]] * w[t]
-        vec = out / norm
+        vec = _trace_step(vec, M.n, level)
     return M if a == M.ell else MaxSymMatrix(M.n, a, vec)
 
 
@@ -162,16 +143,39 @@ def candidate_points(M):
     return V[:, ::-1].T
 
 
+def _chain_weights(n, a, level):
+    """beta_0, ..., beta_a of :func:`lower_bound`; positive for a <= level."""
+    beta = [math.prod((level - i) / (level + n / 2 + i) for i in range(a))]
+    for k in range(1, a + 1):
+        beta.append(beta[-1] * (a - k + 1) * (2 * a - 2 * k + 1)
+                    / (2 * k * (level - a + k)))
+    return beta
+
+
 def lower_bound(T, density):
     """Average of T against a probability density on the sphere.
 
     A certified lower bound on the sphere maximum of T, since the average
     of T under any probability measure on the sphere cannot exceed it.
+    With t_{a-k} and m_{a-k} the coordinates of T (degree 2a) and of the
+    level-a reduction of M traced k times, the average against rho_M at
+    level l >= a is, by the layer scalings of the module docstring,
+
+        sum_{k=0..a} beta_k <t_{a-k}, m_{a-k}>,
+        beta_0 = prod_{i<a} (l - i) / (l + n/2 + i),
+        beta_k = beta_{k-1} (a - k + 1)(2a - 2k + 1) / (2 k (l - a + k)).
     """
     if T.degree % 2 != 0 or T.degree < 2:
         raise ValueError("need an even-degree objective")
-    a = T.degree // 2
-    return float(poly_to_vector(T) @ moment_matrix_of_density(density, a).vec)
+    n, a, level = T.n, T.degree // 2, density.level
+    # reduced_state refuses a > level
+    t, m = poly_to_vector(T), reduced_state(density.state, a).vec
+    beta = _chain_weights(n, a, level)
+    total = beta[0] * float(t @ m)
+    for k in range(1, a + 1):
+        t, m = (_trace_step(v, n, a - k + 1) for v in (t, m))
+        total += beta[k] * float(t @ m)
+    return total
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ the tests instead of shipping with the package:
   moments, the harmonic decomposition and the Funk-Hecke identity;
 * Monte-Carlo sphere integration;
 * the sequential local search that the lock-step oracle replaced;
-* de Finetti checks: trace distances, the trace-norm and polynomial-pairing
-  distances between a reduction and its measure reconstruction, the signed
-  density with an exact moment matrix, and random states;
+* de Finetti checks: the moment matrix of a density by exact monomial
+  integration over the sum-index map (the route the package's chain-sum
+  lower bound is tested against), trace distances, the trace-norm and
+  polynomial-pairing distances between a reduction and its measure
+  reconstruction, the signed density with an exact moment matrix, and
+  random states;
 * the dense eigenvalue ratio of the uniform moment matrix, against which
   the closed form of :func:`sphereopt.sdp.uniform_conditioning` is tested.
 
@@ -34,8 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sphereopt.definetti import (_sum_index_map, measure_density,
-                                 moment_matrix_of_density, reduced_state)
+from sphereopt.definetti import measure_density, reduced_state
 from sphereopt.harmonics import (_moment_cached, lambda_coeff, moment_table,
                                  sphere_moment_vector, surface_area)
 from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
@@ -477,6 +479,33 @@ def sequential_sphere_maximize(T, restarts=32, max_iterations=500,
 
 # de Finetti checks and random states.
 
+@lru_cache(maxsize=None)
+def _sum_index_map(n, d1, d2):
+    """Positions in catalog(n, d1 + d2) of every exponent sum, (m1, m2)."""
+    out = catalog_rank(basis_catalog(n, d1)[:, None, :],
+                       basis_catalog(n, d2)[None, :, :])
+    out.setflags(write=False)
+    return out
+
+
+def moment_matrix_of_density(density, a):
+    """Level-a moment matrix of the measure: averages of |x><x|^{(x)a}.
+
+    The result is a true moment matrix (positive semidefinite, unit trace
+    up to roundoff) for any probability density, computed by exact
+    polynomial integration.
+    """
+    if a < 1:
+        raise ValueError("moment matrix level must be positive")
+    n, degree = density.n, 2 * density.level
+    S = _sum_index_map(n, 2 * a, degree)
+    # entry k is the integral of x^k rho; summing onto zeros keeps the
+    # zero entries +0.0
+    v = np.zeros(len(S))
+    v += moment_table(n, 2 * a + degree)[S] @ density.coeffs
+    return MaxSymMatrix(n, a, _vec_scale(n, 2 * a) * v)
+
+
 def trace_distance(A, B):
     """Half the sum of absolute eigenvalues of the difference."""
     Am = A.matrix if isinstance(A, MaxSymMatrix) else np.asarray(A)
@@ -610,6 +639,11 @@ def random_msym_state(n, level, seed=0, clip_rounds=3):
     positive).  Unlike :func:`random_product_mixture` the result is not
     constrained to the mixtures of rank-one states.  Deterministic in
     ``seed``.
+
+    The least such weight is s* = -low / (low_u - low); the weight is
+    1.02 s* where that is below one, and s* + 0.02 (1 - s*) otherwise,
+    which happens where the uniform state is itself thin, as at n = 3,
+    level 19.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4d53]))
     p = sym_dimension(n, level)
@@ -629,6 +663,9 @@ def random_msym_state(n, level, seed=0, clip_rounds=3):
         low_u = float(np.linalg.eigvalsh(
             MaxSymMatrix(n, level, uniform).matrix)[0])
         s = -low * 1.02 / (low_u - low)
+        if s >= 1.0:
+            least = -low / (low_u - low)
+            s = least + 0.02 * (1.0 - least)
         state = MaxSymMatrix(n, level, (1.0 - s) * state.vec + s * uniform)
     return state
 

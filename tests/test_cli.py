@@ -128,11 +128,10 @@ def test_load_json_input_roundtrips_and_validates():
             load_json_input(io.StringIO(text))
 
 
-def test_choose_level_targets_half_error(monkeypatch):
+def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
     monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
-    # quadratics in three variables: eps = 6 / (2 level + 3) <= 1/2
-    assert choose_level(3, 1, 512) == 5
-    # quartics want level 39 but the conditioning floor caps n = 3 at 19
+    # the conditioning floor caps n = 3 at 19, whatever the degree
+    assert choose_level(3, 1, 512) == 19
     assert choose_level(3, 2, 512) == 19
     assert choose_level(3, 2, 900) == 19
     # a tight size guard binds before the conditioning floor
@@ -140,8 +139,9 @@ def test_choose_level_targets_half_error(monkeypatch):
     assert choose_level(2, 2, 512) == 20
     with pytest.raises(ResourceGuardError):
         choose_level(33, 2, 512)
+    # with no floor the size guard binds: C(42, 2) = 861, C(43, 2) = 903
     monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0")
-    assert choose_level(3, 2, 900) == 39
+    assert choose_level(3, 2, 900) == 40
     # a floor above the base level's conditioning refuses it, naming the
     # ratio; one only the base level clears stops the climb there
     monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0.9")
@@ -582,6 +582,31 @@ def test_auto_level_climbs_past_an_inexact_base_level(monkeypatch):
     assert payload["window_closed"] is True
     assert payload["nu_lower"] >= -1e-9
     assert payload["nu_lower"] <= payload["nu_upper"]
+
+
+def test_climb_reports_the_optimal_level_when_a_deeper_one_fails(
+        monkeypatch):
+    # -Motzkin's level 3 is optimal with its window open; level 6 stops
+    # after one iteration, so the report is level 3's and the exit is 0
+    def starved(problem, tol, max_iterations):
+        if problem.ell == 6:
+            max_iterations = 1
+        return definetti.solve_and_report(problem, tol=tol,
+                                          max_iterations=max_iterations)
+
+    monkeypatch.setattr(cli, "solve_and_report", starved)
+    code, payload = _run_json(["--poly", NEG_MOTZKIN, "--certificate"])
+    assert code == EXIT_OK
+    assert payload["level"] == 3 and payload["levels_solved"] == [3, 6]
+    assert payload["status"] == "optimal"
+    assert payload["window_closed"] is False
+    assert payload["certificate"] is not None
+    assert payload["nu_lower"] <= payload["nu_upper"]
+    code, alone = _run_json(["--poly", NEG_MOTZKIN, "--level", "3",
+                             "--certificate"])
+    assert code == EXIT_OK
+    for key in ("nu_upper", "iterations", "density", "certificate"):
+        assert payload[key] == alone[key]
 
 
 def test_auto_level_lifted_maximizer_in_original_variables():

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sphereopt.definetti import (BoundsReport, _sum_index_map,
+from sphereopt import harmonics
+from sphereopt.definetti import (BoundsReport, _chain_weights,
                                  candidate_points, density_constant,
-                                 lower_bound, measure_density,
-                                 moment_matrix_of_density, reduced_state,
+                                 lower_bound, measure_density, reduced_state,
                                  solve_and_report)
 from sphereopt.harmonics import (definetti_eps, moment_table,
                                  sphere_moment_vector)
@@ -16,8 +17,9 @@ from sphereopt.polymat import (MaxSymMatrix, _catalog_coeffs, _vec_scale,
                                homo_poly, poly_to_vector, vector_to_poly)
 from sphereopt.sdp import build_relaxation
 
-from reference import (definetti_trace_check, f1_distance_lower_estimate,
-                       harmonic_decompose, mc_sphere_integral,
+from reference import (_sum_index_map, definetti_trace_check,
+                       f1_distance_lower_estimate, harmonic_decompose,
+                       mc_sphere_integral, moment_matrix_of_density,
                        p_from_q_coefficients, product_state_vec,
                        random_msym_state, random_product_mixture,
                        state_from_harmonic_density, trace_distance)
@@ -77,7 +79,8 @@ def _dict_route_lower_bound(T, poly):
                                        (4, (2, 3)), (5, (2, 3)), (6, (2,))])
 def test_density_vector_matches_the_polynomial_route(n, levels):
     # the density's coefficient vector gives bit for bit what its
-    # polynomial c * Q_M gave, in the report's terms and in the bound
+    # polynomial c * Q_M gave in the report's terms; the chain-sum bound
+    # agrees with the moment route on that polynomial to roundoff
     for level in levels:
         for seed in range(3):
             M = random_msym_state(n, level, seed=seed)
@@ -90,8 +93,93 @@ def test_density_vector_matches_the_polynomial_route(n, levels):
                 T = vector_to_poly(n, 2 * a, np.random.default_rng(
                     [seed, n, level, a]).standard_normal(
                         len(basis_catalog(n, 2 * a))))
-                assert lower_bound(T, density) == _dict_route_lower_bound(
-                    T, poly)
+                assert abs(lower_bound(T, density)
+                           - _dict_route_lower_bound(T, poly)) <= (
+                    1e-14 * np.abs(poly_to_vector(T)).sum())
+
+
+def _layer_weights_exact(n, a, level):
+    # Funk-Hecke scales layer j of T (h_j r^{2a-j}, h_j harmonic) by
+    # w_j = lambda(n, l, j) / lambda(n, l, 0); the k-fold trace scales it
+    # by mu_{j,k}, since the Laplacian takes h_j r^{2m} to
+    # 2m (2m + 2j + n - 2) h_j r^{2m-2} and one trace step at degree d is
+    # the Laplacian over d (d - 1).  Solve sum_k beta_k mu_{j,k} = w_j,
+    # triangular from the top layer j = 2a down.
+    half = Fraction(n, 2)
+
+    def w(j):
+        return math.prod((Fraction(level - i) / (level + half + i)
+                          for i in range(j // 2)), start=Fraction(1))
+
+    def mu(j, k):
+        out = Fraction(1)
+        for s in range(k):
+            m, d = a - j // 2 - s, 2 * a - 2 * s
+            out *= Fraction(2 * m * (2 * m + 2 * j + n - 2), d * (d - 1))
+        return out
+
+    beta = []
+    for k in range(a + 1):
+        j = 2 * (a - k)
+        # layer j sees the chain terms k' <= k only: mu_{j,k'} = 0 beyond
+        rest = sum(beta[i] * mu(j, i) for i in range(k))
+        beta.append((w(j) - rest) / mu(j, k))
+    return beta
+
+
+def test_chain_weights_solve_the_layer_system_exactly():
+    for n in range(2, 9):
+        for a in range(1, 5):
+            for level in range(a, a + 7):
+                exact = _layer_weights_exact(n, a, level)
+                got = _chain_weights(n, a, level)
+                assert len(got) == a + 1
+                for b, e in zip(got, exact):
+                    assert e > 0
+                    assert b == pytest.approx(float(e), rel=1e-14)
+
+
+def _bound_cases():
+    for n in range(2, 7):
+        for a in range(1, 4):
+            for level in range(a, a + 4):
+                yield n, a, level, (0,)
+    yield 2, 3, 20, (0,)
+    yield 10, 2, 2, (0,)
+    yield 3, 2, 19, (0, 1, 2, 3)
+
+
+def test_lower_bound_matches_the_moment_route():
+    # the chain sum against the pairing of T with the density's moment
+    # matrix by exact monomial moments, on random and on product-mixture
+    # states
+    for n, a, level, seeds in _bound_cases():
+        for seed in seeds:
+            T = vector_to_poly(n, 2 * a, np.random.default_rng(
+                [seed, n, a, level]).standard_normal(
+                    len(basis_catalog(n, 2 * a))))
+            t = poly_to_vector(T)
+            for M in (random_msym_state(n, level, seed=seed),
+                      random_product_mixture(n, level, seed=seed)):
+                density = measure_density(M)
+                moments = moment_matrix_of_density(density, a).vec
+                assert abs(lower_bound(T, density) - float(t @ moments)) <= (
+                    1e-14 * np.abs(t).sum())
+    density = measure_density(random_msym_state(3, 1))
+    with pytest.raises(ValueError):
+        lower_bound(homo_poly(3, 4, {(4, 0, 0): 1.0}), density)
+
+
+def test_solve_and_report_tabulates_only_the_primal_start_moments():
+    harmonics.moment_table.cache_clear()
+    T = vector_to_poly(10, 4, np.random.default_rng(13).standard_normal(
+        len(basis_catalog(10, 4))))
+    report, _ = solve_and_report(build_relaxation(T, 2))
+    assert report.status == "optimal"
+    # the one table is the degree-2l one: asking for it adds no entry
+    assert harmonics.moment_table.cache_info().currsize == 1
+    harmonics.moment_table(10, 4)
+    assert harmonics.moment_table.cache_info().currsize == 1
 
 
 def test_moment_matrix_of_density_is_a_state():
@@ -247,6 +335,12 @@ def test_lower_bound_is_sound():
 
 
 def test_random_state_generators_are_valid_and_deterministic():
+    # at (3, 19) the uniform state is thin, so the mixing weight must stay
+    # below one
+    for seed in range(4):
+        S = random_msym_state(3, 19, seed=seed)
+        assert S.trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(S.matrix)[0] > 0.0
     for n, level in ((3, 4), (4, 6)):
         A = random_msym_state(n, level, seed=3)
         B = random_msym_state(n, level, seed=3)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sphereopt.definetti import _sum_index_map
 from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
                                   sym_dimension)
 from sphereopt.polymat import _pair_maps, _trace_gather
 
-from reference import (dense_number_state, dense_symmetrizer,
-                       number_state_overlap)
+from reference import (_sum_index_map, dense_number_state,
+                       dense_symmetrizer, number_state_overlap)
 
 
 def test_multiindex_rejects_negative():
