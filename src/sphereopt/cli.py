@@ -16,10 +16,12 @@ adds the point's value to the lower bound, and the fields
 ``density_lower``, ``maximizer``, ``window_closed`` and ``levels_solved``.
 
 Output is deterministic: the same invocation produces byte-identical
-output, every float prints as its Python ``repr`` (the shortest text that
-parses back to the same double), and JSON mode emits one strict JSON
-object per level on its own line (one for the automatic level); a value
-JSON cannot carry, such as an infinite bound, exits 3 before any output.
+output in any shell (the guards read ``--max-p`` and fixed constants, no
+variable), every float prints as its Python ``repr`` (the shortest text
+that parses back to the same double), and JSON mode emits one strict
+JSON object per level on its own line (one for the automatic level); a
+value JSON cannot carry, such as an infinite bound, exits 3 before any
+output.
 
 Exit codes: 0 success, 2 malformed input or arguments, 3 no optimal status
 (in a climb: at no level), 4 problem size above the resource guard.
@@ -40,7 +42,7 @@ from .oracle import polish, sphere_maximize
 from .polymat import evaluate
 from .reduction import (canonicalize, pullback_bounds, pullback_points,
                         solve_shape)
-from .sdp import (MAX_P_ENV, ResourceGuardError, SolverError, STATUS_OPTIMAL,
+from .sdp import (ResourceGuardError, SolverError, STATUS_OPTIMAL,
                   build_relaxation, check_level, check_solve_options,
                   extract_sos_certificate, resolve_max_p)
 
@@ -253,8 +255,7 @@ def _build_parser():
     parser.add_argument("--max-iterations", type=int, default=120,
                         help="interior-point iteration budget (default 120)")
     parser.add_argument("--max-p", type=int, default=None,
-                        help="matrix-side resource guard (default "
-                             f"${MAX_P_ENV} or 512)")
+                        help="matrix-side resource guard (default 512)")
     parser.add_argument("--oracle", action="store_true",
                         help="also run seeded local search for comparison")
     parser.add_argument("--restarts", type=int, default=32,

@@ -164,18 +164,25 @@ def lower_bound(T, density):
         sum_{k=0..a} beta_k <t_{a-k}, m_{a-k}>,
         beta_0 = prod_{i<a} (l - i) / (l + n/2 + i),
         beta_k = beta_{k-1} (a - k + 1)(2a - 2k + 1) / (2 k (l - a + k)).
+
+    The chain runs on t scaled by the power of two 2^-e that puts max |t|
+    in [1/2, 1), and the sum is scaled back by 2^e: exact wherever neither
+    side over- or underflows, and near the top of the float range no
+    partial sum overflows on the way.
     """
     if T.degree % 2 != 0 or T.degree < 2:
         raise ValueError("need an even-degree objective")
     n, a, level = T.n, T.degree // 2, density.level
     # reduced_state refuses a > level
     t, m = poly_to_vector(T), reduced_state(density.state, a).vec
+    _, e = math.frexp(float(np.abs(t).max()))
+    t = np.ldexp(t, -e)
     beta = _chain_weights(n, a, level)
     total = beta[0] * float(t @ m)
     for k in range(1, a + 1):
         t, m = (_trace_step(v, n, a - k + 1) for v in (t, m))
         total += beta[k] * float(t @ m)
-    return total
+    return float(np.ldexp(total, e))
 
 
 @dataclass(frozen=True)

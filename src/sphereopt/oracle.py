@@ -72,7 +72,7 @@ def _unit_scale(T):
     Multiplying by it is exact in binary and makes the ascent independent
     of the scale of T.
     """
-    C = np.abs(T._arrays()[1])
+    C = np.abs(T._arrays[1])
     if not C.size:
         return 1.0
     top = math.frexp(C.max())[1]

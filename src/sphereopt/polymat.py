@@ -35,8 +35,8 @@ over the n^{2a} product space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class HomoPoly:
     n: int
     degree: int
     coeffs: dict
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -82,12 +81,7 @@ class HomoPoly:
         if other.n != self.n or other.degree != self.degree:
             raise ValueError("polynomial shape mismatch in addition")
         out = dict(self.coeffs)
-        for mi, a in other.coeffs.items():
-            s = out.get(mi, 0.0) + a
-            if s == 0.0:
-                out.pop(mi, None)
-            else:
-                out[mi] = s
+        add_terms(out, other.coeffs)
         return HomoPoly(self.n, self.degree, out)
 
     def __sub__(self, other):
@@ -100,20 +94,30 @@ class HomoPoly:
         """(exponents, coefficient) pairs in catalog (x1-major) order."""
         return sorted(self.coeffs.items(), reverse=True)
 
+    @cached_property
     def _arrays(self):
-        """(m, n) exponent matrix and (m,) coefficient vector, cached."""
-        got = self._cache.get("arrays")
-        if got is None:
-            if self.coeffs:
-                items = self.catalog_terms()
-                E = np.array([mi for mi, _ in items], dtype=np.int64)
-                C = np.array([a for _, a in items], dtype=float)
-            else:
-                E = np.zeros((0, self.n), dtype=np.int64)
-                C = np.zeros(0)
-            got = (E, C)
-            self._cache["arrays"] = got
-        return got
+        """(m, n) exponent matrix and (m,) coefficient vector, in catalog
+        order."""
+        if not self.coeffs:
+            return np.zeros((0, self.n), dtype=np.int64), np.zeros(0)
+        items = self.catalog_terms()
+        return (np.array([mi for mi, _ in items], dtype=np.int64),
+                np.array([a for _, a in items], dtype=float))
+
+
+def add_terms(out, coeffs):
+    """Add ``coeffs`` into the dict ``out`` in place.
+
+    A sum that reaches exactly 0.0 is deleted, so a later term re-inserts
+    its key at the end; keys, order and bits are those of adding the
+    polynomials one at a time with ``+``.
+    """
+    for mi, a in coeffs.items():
+        s = out.get(mi, 0.0) + a
+        if s == 0.0:
+            out.pop(mi, None)
+        else:
+            out[mi] = s
 
 
 def homo_poly(n, degree, terms):
@@ -173,7 +177,7 @@ def evaluate(T, x):
     batch, so a point's value does not depend on the batch it comes in.
     """
     P = _power_table(T, x)
-    E, C = T._arrays()
+    E, C = T._arrays
     rows = np.arange(T.n)[:, None]
     monos = np.prod(P[..., rows, E.T], axis=-2)
     out = _row_sums(monos * C)
@@ -189,7 +193,7 @@ def gradient(T, x):
     reduced on its own, as in :func:`evaluate`.
     """
     P = _power_table(T, x)
-    E, C = T._arrays()
+    E, C = T._arrays
     rows = np.arange(T.n)[:, None]
     F = P[..., rows, E.T]
     dF = E.T * P[..., rows, np.maximum(E.T - 1, 0)]
@@ -296,7 +300,6 @@ class MaxSymMatrix:
     n: int
     ell: int
     vec: np.ndarray
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         q = sym_dimension(self.n, 2 * self.ell)
@@ -305,14 +308,12 @@ class MaxSymMatrix:
             raise ValueError(f"expected vec of length {q}, got {v.shape}")
         object.__setattr__(self, "vec", v)
 
-    @property
+    @cached_property
     def matrix(self):
-        got = self._cache.get("matrix")
-        if got is None:
-            KK, WW, _ = _pair_maps(self.n, self.ell)
-            got = self.vec[KK] * WW
-            got.setflags(write=False)
-            self._cache["matrix"] = got
+        """The p x p matrix, read-only."""
+        KK, WW, _ = _pair_maps(self.n, self.ell)
+        got = self.vec[KK] * WW
+        got.setflags(write=False)
         return got
 
     def trace(self):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import exponent_tuple
-from .polymat import HomoPoly, homo_poly, multiply_r2
+from .polymat import HomoPoly, add_terms, homo_poly, multiply_r2
 
 
 def gamma_factor(a):
@@ -81,14 +81,14 @@ def homogenize_terms(n, terms):
     smallest positive even degree).
     """
     cleaned, target = _clean_terms(n, terms)
-    out = HomoPoly(n, target, {})
+    coeffs = {}
     for mi, a in cleaned.items():
         degree = sum(mi)
-        out = out + multiply_r2(homo_poly(n, degree, {mi: a}),
-                                (target - degree) // 2)
+        add_terms(coeffs, multiply_r2(homo_poly(n, degree, {mi: a}),
+                                      (target - degree) // 2).coeffs)
     # padding adds terms up, which can overflow
-    _require_finite(out.coeffs)
-    return out
+    _require_finite(coeffs)
+    return HomoPoly(n, target, coeffs)
 
 
 def solve_shape(n, terms):

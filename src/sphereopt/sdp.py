@@ -67,7 +67,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from importlib.util import module_from_spec
@@ -116,9 +117,7 @@ def _load_flapack():
 dpotrf, dpotrs, dtrtrs = _lapack_routines()
 
 DEFAULT_MAX_P = 512
-MAX_P_ENV = "SPHEREOPT_MAX_P"
 DEFAULT_MIN_COND_RATIO = 5e-6
-COND_RATIO_ENV = "SPHEREOPT_COND_RATIO"
 
 # q x q float64 matrices one solve holds at its peak: the Schur matrix, its
 # equilibrated copy and their Cholesky factor in _factor_schur, while
@@ -139,36 +138,13 @@ class ResourceGuardError(RuntimeError):
 
 
 def resolve_max_p(max_p=None):
-    """Size guard: the argument, else ``SPHEREOPT_MAX_P``, else 512."""
-    if max_p is not None:
-        name, cap = "max_p", int(max_p)
-    else:
-        env = os.environ.get(MAX_P_ENV)
-        if not env:
-            return DEFAULT_MAX_P
-        name = MAX_P_ENV
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_P_ENV} must be an integer, got {env!r}")
+    """Size guard: the ``max_p`` argument (``--max-p``), else 512."""
+    if max_p is None:
+        return DEFAULT_MAX_P
+    cap = int(max_p)
     if cap < 1:
-        raise ValueError(f"{name} must be at least 1, got {cap}")
+        raise ValueError(f"max_p (--max-p) must be at least 1, got {cap}")
     return cap
-
-
-def resolve_cond_ratio():
-    """Conditioning floor: a finite ratio >= 0, where 0 means no floor."""
-    env = os.environ.get(COND_RATIO_ENV)
-    if not env:
-        return DEFAULT_MIN_COND_RATIO
-    try:
-        ratio = float(env)
-    except ValueError:
-        raise ValueError(f"{COND_RATIO_ENV} must be a number, got {env!r}")
-    if not 0.0 <= ratio < np.inf:
-        raise ValueError(
-            f"{COND_RATIO_ENV} must be a finite number >= 0, got {ratio!r}")
-    return ratio
 
 
 def _physical_memory():
@@ -229,7 +205,6 @@ class SdpProblem:
     tau: np.ndarray
     p: int
     q: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def moment_matrix(self, y):
         """M(y): the maximally symmetric matrix with vec coordinates y."""
@@ -242,33 +217,27 @@ class SdpProblem:
         return np.bincount(KK.ravel(), weights=(WW * A).ravel(),
                            minlength=self.q)
 
+    @cached_property
     def pair_structure(self):
         """Entry classes sorted for the streamed Schur assembly.
 
-        Returns (order, starts, rows, cols, weights): the stable ordering
-        of flattened p x p entries by class, the q segment starts of that
+        (order, starts, rows, cols, weights): the stable ordering of
+        flattened p x p entries by class, the q segment starts of that
         ordering, and the row, column and weight of every entry in that
         order.  Every class is nonempty (any multi-index of degree 2l
         splits into two of degree l).
         """
-        got = self._cache.get("pairs")
-        if got is None:
-            KK, WW, _ = _pair_maps(self.n, self.ell)
-            kflat = KK.ravel()
-            order = np.argsort(kflat, kind="stable")
-            starts = np.searchsorted(kflat[order], np.arange(self.q))
-            rows, cols = np.divmod(order, self.p)
-            got = (order, starts, rows, cols, WW.ravel()[order])
-            self._cache["pairs"] = got
-        return got
+        KK, WW, _ = _pair_maps(self.n, self.ell)
+        kflat = KK.ravel()
+        order = np.argsort(kflat, kind="stable")
+        starts = np.searchsorted(kflat[order], np.arange(self.q))
+        rows, cols = np.divmod(order, self.p)
+        return order, starts, rows, cols, WW.ravel()[order]
 
+    @cached_property
     def objective_matrix(self):
         """Encoded objective as a p x p matrix."""
-        got = self._cache.get("objmat")
-        if got is None:
-            got = MaxSymMatrix(self.n, self.ell, self.objective).matrix
-            self._cache["objmat"] = got
-        return got
+        return MaxSymMatrix(self.n, self.ell, self.objective).matrix
 
     def initial_primal(self):
         """Strictly feasible start: uniform sphere-measure moments."""
@@ -281,7 +250,7 @@ class SdpProblem:
         Z0 = t0 I - Z is positive definite and satisfies the dual equality
         constraints exactly.
         """
-        Zt = self.objective_matrix()
+        Zt = self.objective_matrix
         eig = np.linalg.eigvalsh(Zt)
         spread = float(eig[-1] - eig[0])
         t0 = float(eig[-1]) + max(1.0, 0.1 * spread)
@@ -292,19 +261,21 @@ def check_level(n, level, max_p=None):
     """Raise ResourceGuardError unless the level is affordable in n variables.
 
     The matrix side p = C(level + n - 1, level) must stay within the size
-    guard (:func:`resolve_max_p`); the ``SCHUR_COPIES`` dense q x q
-    matrices of the solve, q = C(2 level + n - 1, 2 level), must fit in
-    physical memory; and the moment-body conditioning must stay above the
-    floor where double precision still solves reliably
-    (:func:`resolve_cond_ratio`; in practice n = 2 stops at level 20 and
-    n = 3 at level 19, while for n >= 4 the size guard binds first).
+    guard ``max_p`` (:func:`resolve_max_p`, default ``DEFAULT_MAX_P``); the
+    ``SCHUR_COPIES`` dense q x q matrices of the solve,
+    q = C(2 level + n - 1, 2 level), must fit in physical memory; and the
+    moment-body conditioning must stay above ``DEFAULT_MIN_COND_RATIO``,
+    the floor where double precision still solves reliably (in practice
+    n = 2 stops at level 20 and n = 3 at level 19, while for n >= 4 the
+    size guard binds first).  The result depends on (n, level, max_p) and
+    the machine's physical memory alone.
     """
     cap = resolve_max_p(max_p)
     p = sym_dimension(n, level)
     if p > cap:
         raise ResourceGuardError(
             f"level {level} needs matrices of side {p}, above the guard "
-            f"{cap}; raise {MAX_P_ENV} to override")
+            f"{cap}; raise max_p (--max-p) to override")
     q = sym_dimension(n, 2 * level)
     need = SCHUR_COPIES * 8 * q * q
     memory = _physical_memory()
@@ -314,13 +285,12 @@ def check_level(n, level, max_p=None):
             f"its Schur solve ({need / 2**30:.1f} GiB), above the "
             f"{memory / 2**30:.1f} GiB of physical memory; choose a lower "
             f"level")
-    floor = resolve_cond_ratio()
     ratio = uniform_conditioning(n, level)
-    if ratio < floor:
+    if ratio < DEFAULT_MIN_COND_RATIO:
         raise ResourceGuardError(
             f"level {level} has moment-body conditioning {ratio:.2e}, below "
-            f"the floor {floor:.2e} for reliable double-precision solves; "
-            f"lower {COND_RATIO_ENV} to force")
+            f"the floor {DEFAULT_MIN_COND_RATIO:.2e} for reliable "
+            f"double-precision solves")
 
 
 def build_relaxation(T, level, max_p=None):
@@ -379,7 +349,7 @@ class SdpSolution:
     def Zbar_star(self):
         """Dual correction, orthogonal to the maximally symmetric subspace."""
         return (self.Z_star - self.t_star * np.eye(self.problem.p)
-                + self.problem.objective_matrix())
+                + self.problem.objective_matrix)
 
 
 def _cholesky(A):
@@ -417,7 +387,7 @@ def _schur_matrix(problem, Y):
     the assembly costs q p^3 flops.
     """
     p, q = problem.p, problem.q
-    order, starts, rows, cols, weights = problem.pair_structure()
+    order, starts, rows, cols, weights = problem.pair_structure
     bounds = np.append(starts, p * p)
     counts = np.diff(bounds)
     block = max(1, min(q, 2**16 // (p * p)))

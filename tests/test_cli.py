@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -129,7 +130,6 @@ def test_load_json_input_roundtrips_and_validates():
 
 
 def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
-    monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
     # the conditioning floor caps n = 3 at 19, whatever the degree
     assert choose_level(3, 1, 512) == 19
     assert choose_level(3, 2, 512) == 19
@@ -140,19 +140,19 @@ def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
     with pytest.raises(ResourceGuardError):
         choose_level(33, 2, 512)
     # with no floor the size guard binds: C(42, 2) = 861, C(43, 2) = 903
-    monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0")
+    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.0)
     assert choose_level(3, 2, 900) == 40
     # a floor above the base level's conditioning refuses it, naming the
     # ratio; one only the base level clears stops the climb there
-    monkeypatch.setenv("SPHEREOPT_COND_RATIO", "0.9")
+    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.9)
     with pytest.raises(ResourceGuardError,
                        match=r"level 2 has moment-body conditioning \d"):
         choose_level(3, 2, 512)
     assert choose_level(3, 1, 512) == 1
 
 
-def test_choose_level_builds_no_matrices(monkeypatch):
-    monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
+def test_choose_level_builds_no_matrices():
+    assert sdp.DEFAULT_MIN_COND_RATIO == 5e-6
     polymat._pair_maps.cache_clear()
     assert choose_level(4, 2, 2000) == 19
     assert polymat._pair_maps.cache_info().currsize == 0
@@ -286,7 +286,7 @@ def test_exit_code_on_json_dimension_conflict(tmp_path):
     assert "conflicts" in err
 
 
-def test_exit_code_on_resource_guard(monkeypatch):
+def test_exit_code_on_resource_guard():
     code, _, err = _run(["--poly", "x1^4", "--n", "33"])
     assert code == EXIT_RESOURCE
     assert "guard" in err
@@ -296,25 +296,30 @@ def test_exit_code_on_resource_guard(monkeypatch):
     code, _, err = _run(["--poly", "x1^4 + x2^4", "--level", "25"])
     assert code == EXIT_RESOURCE
     assert "conditioning" in err
-    monkeypatch.setenv("SPHEREOPT_MAX_P", "50")
-    code, _, err = _run(["--poly", "x1^2*x2^2", "--n", "3", "--level", "10"])
+    code, _, err = _run(["--poly", "x1^2*x2^2", "--n", "3", "--level", "10",
+                         "--max-p", "50"])
     assert code == EXIT_RESOURCE
+    assert "--max-p" in err
+    code, out, err = _run(["--poly", "x1^2*x2^2", "--max-p", "0"])
+    assert code == EXIT_INPUT and out == ""
+    assert "--max-p" in err
     code, _, _ = _run(["--poly", "x1^2*x2^2", "--n", "3", "--level", "10",
                        "--max-p", "100"])
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_exit_code_on_bad_conditioning_floor(monkeypatch, value):
-    monkeypatch.setenv("SPHEREOPT_COND_RATIO", value)
-    # automatic level: the floor is read while choosing the level
-    code, out, err = _run(["--poly", "x1^2*x2^2"])
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert "SPHEREOPT_COND_RATIO" in err
-    code, _, err = _run(["--poly", "x1^2*x2^2", "--level", "2"])
-    assert code == EXIT_INPUT
-    assert "SPHEREOPT_COND_RATIO" in err
+@pytest.mark.parametrize("argv", [["--poly", "x1^2*x2^2"],
+                                  ["--poly", "x1^2*x2^2", "--level", "2"]],
+                         ids=["automatic", "level-2"])
+def test_guard_settings_are_not_read_from_the_environment(monkeypatch, argv):
+    # names a shell may still set for the size guard and the floor
+    monkeypatch.delenv("SPHEREOPT_MAX_P", raising=False)
+    monkeypatch.delenv("SPHEREOPT_COND_RATIO", raising=False)
+    unset = _run(argv)
+    monkeypatch.setenv("SPHEREOPT_MAX_P", "abc")
+    monkeypatch.setenv("SPHEREOPT_COND_RATIO", "nan")
+    assert _run(argv) == unset
+    assert unset[0] == EXIT_OK
 
 
 def _never(*args, **kwargs):
@@ -399,7 +404,7 @@ def test_size_guard_fires_before_homogenization_pads(monkeypatch):
     assert code == EXIT_RESOURCE
     assert out == ""
     assert err == ("sphereopt: level 50 needs matrices of side 316251, "
-                   "above the guard 512; raise SPHEREOPT_MAX_P to "
+                   "above the guard 512; raise max_p (--max-p) to "
                    "override\n")
 
 
@@ -412,6 +417,23 @@ def test_padded_overflow_exits_before_any_solve(monkeypatch):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("sphereopt: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lower_bound_near_the_float_range_stays_finite(fmt):
+    # summing two ~1e308 products in the density bound's chain must not
+    # overflow to +inf
+    code, out, err = _run(["--poly", "1e308*x1^2+1e308*x2^2",
+                           "--format", fmt])
+    assert code == EXIT_OK and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        lower, upper = payload["nu_lower"], payload["nu_upper"]
+    else:
+        lower, upper = (float(re.search(rf"^{name} bound +(\S+)$", out,
+                                        re.M)[1])
+                        for name in ("lower", "upper"))
+    assert math.isfinite(lower) and lower <= upper
 
 
 @pytest.mark.parametrize("level, builds", [(None, 1), ("2..4", 3)])

@@ -170,6 +170,25 @@ def test_lower_bound_matches_the_moment_route():
         lower_bound(homo_poly(3, 4, {(4, 0, 0): 1.0}), density)
 
 
+def test_lower_bound_is_equivariant_under_powers_of_two():
+    # scaling T by 2^k scales the bound by 2^k bit for bit
+    for n, a, level, seed in ((2, 1, 1, 0), (2, 1, 3, 1), (3, 2, 2, 2),
+                              (3, 2, 5, 3), (4, 3, 3, 4)):
+        T = vector_to_poly(n, 2 * a, np.random.default_rng(seed).uniform(
+            0.5, 1.0, len(basis_catalog(n, 2 * a))))
+        density = measure_density(random_msym_state(n, level, seed=seed))
+        base = lower_bound(T, density)
+        assert math.isfinite(base) and base > 0.0
+        for k in (-1000, -300, -1, 1, 300, 1000):
+            assert lower_bound(T.scaled(2.0 ** k), density) == math.ldexp(
+                base, k)
+    # 2^1023 (x1^2 + x2^2): a chain on the unscaled coordinates sums two
+    # halves of 2^1024 and overflows to +inf
+    big = homo_poly(2, 2, {(2, 0): 2.0 ** 1023, (0, 2): 2.0 ** 1023})
+    density = measure_density(_uniform_state(2, 1))
+    assert lower_bound(big, density) == 2.0 ** 1023
+
+
 def test_solve_and_report_tabulates_only_the_primal_start_moments():
     harmonics.moment_table.cache_clear()
     T = vector_to_poly(10, 4, np.random.default_rng(13).standard_normal(

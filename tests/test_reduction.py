@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from sphereopt import reduction
 from sphereopt.definetti import solve_and_report
+from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import evaluate, homo_poly
+from sphereopt.polymat import HomoPoly, evaluate, homo_poly, multiply_r2
 from sphereopt.reduction import (canonicalize, gamma_factor, homogenize_terms,
                                  lift_odd, pullback_bounds, pullback_points)
 from sphereopt.sdp import build_relaxation
@@ -38,6 +40,49 @@ def test_homogenize_pads_with_squared_radius():
         x /= np.linalg.norm(x)
         assert evaluate(mixed, x) == pytest.approx(x[0] ** 3 - 2.0 * x[0],
                                                    abs=1e-12)
+
+
+def _homogenize_by_addition(n, terms):
+    # one HomoPoly sum per input term, the padded terms added with +
+    cleaned, target = reduction._clean_terms(n, terms)
+    out = HomoPoly(n, target, {})
+    for mi, a in cleaned.items():
+        degree = sum(mi)
+        out = out + multiply_r2(homo_poly(n, degree, {mi: a}),
+                                (target - degree) // 2)
+    return out
+
+
+def _homogenize_cases():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 8):
+        for degrees in ((4, 2, 0), (6, 4, 2), (5, 3, 1), (4,)):
+            terms = {tuple(map(int, mi)): float(rng.standard_normal())
+                     for d in degrees for mi in basis_catalog(n, d)}
+            yield n, terms
+            # the same terms listed lowest degree first
+            yield n, dict(reversed(list(terms.items())))
+    # x1^4 - x1^2 + 1: the padded -x1^2 cancels x1^4 to an exact zero,
+    # and the padded constant re-inserts it after x1^2 x2^2
+    yield 2, {(4, 0): 1.0, (2, 0): -1.0, (0, 0): 1.0}
+    # x1^2 + x2^2 - 1 vanishes on the circle: every sum cancels
+    yield 2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}
+    yield 3, {(2, 0, 0): 0.5, (0, 0, 0): -0.5, (0, 2, 0): 0.25,
+              (0, 0, 2): -0.5}
+
+
+def test_homogenize_accumulates_as_the_addition_route():
+    # keys, their order and the bits of every coefficient
+    for n, terms in _homogenize_cases():
+        got = homogenize_terms(n, terms)
+        want = _homogenize_by_addition(n, terms)
+        assert got.degree == want.degree
+        assert ([(mi, a.hex()) for mi, a in got.coeffs.items()]
+                == [(mi, a.hex()) for mi, a in want.coeffs.items()])
+    cancelled = homogenize_terms(2, {(4, 0): 1.0, (2, 0): -1.0, (0, 0): 1.0})
+    assert list(cancelled.coeffs) == [(2, 2), (4, 0), (0, 4)]
+    assert homogenize_terms(2, {(2, 0): 1.0, (0, 2): 1.0,
+                                (0, 0): -1.0}).is_zero()
 
 
 def test_homogenize_constant_and_validation():

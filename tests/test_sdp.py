@@ -13,13 +13,12 @@ import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import _pair_maps, evaluate, homo_poly, vector_to_poly
-from sphereopt.sdp import (COND_RATIO_ENV, MAX_P_ENV, SCHUR_COPIES,
-                           ResourceGuardError, SolverError,
+from sphereopt.sdp import (SCHUR_COPIES, ResourceGuardError, SolverError,
                            STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation, check_level,
-                           extract_sos_certificate, resolve_cond_ratio,
-                           resolve_max_p, solve_sdp, uniform_conditioning,
-                           _factor_schur, _max_steps, _schur_matrix)
+                           extract_sos_certificate, resolve_max_p, solve_sdp,
+                           uniform_conditioning, _factor_schur, _max_steps,
+                           _schur_matrix)
 
 from reference import dense_uniform_conditioning, lambda_ratio
 
@@ -70,43 +69,36 @@ def test_build_relaxation_rejects_padded_overflow():
         build_relaxation(T, 19)
 
 
-def test_resolve_max_p_env_override(monkeypatch):
-    monkeypatch.delenv(MAX_P_ENV, raising=False)
+def test_resolve_max_p_env_override():
     assert resolve_max_p() == 512
     assert resolve_max_p(64) == 64
-    monkeypatch.setenv(MAX_P_ENV, "900")
-    assert resolve_max_p() == 900
+    assert resolve_max_p(900) == 900
     T = _random_poly(6, 2, 1)
-    prob = build_relaxation(T, 7)  # p = 792 now fits
+    with pytest.raises(ResourceGuardError, match="--max-p"):
+        build_relaxation(T, 7)  # p = 792 is above the default guard
+    prob = build_relaxation(T, 7, max_p=900)  # and fits under 900
     assert prob.p == sym_dimension(6, 7)
-    monkeypatch.setenv(MAX_P_ENV, "abc")
     with pytest.raises(ValueError):
-        resolve_max_p()
+        resolve_max_p("abc")
     # a guard below one would refuse every level; reject it by name
-    monkeypatch.setenv(MAX_P_ENV, "0")
-    with pytest.raises(ValueError, match=MAX_P_ENV):
-        resolve_max_p()
-    with pytest.raises(ValueError, match="max_p"):
-        resolve_max_p(-5)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_p") as info:
+            resolve_max_p(bad)
+        assert "--max-p" in str(info.value)
 
 
 def test_conditioning_guard(monkeypatch):
-    monkeypatch.delenv(COND_RATIO_ENV, raising=False)
-    assert resolve_cond_ratio() == 5e-6
+    assert sdp_module.DEFAULT_MIN_COND_RATIO == 5e-6
     T = _random_poly(2, 4, 5)
     assert build_relaxation(T, 20).p == 21  # deepest level above the floor
     with pytest.raises(ResourceGuardError, match="conditioning"):
         build_relaxation(T, 21)
-    monkeypatch.setenv(COND_RATIO_ENV, "1e-9")
-    assert resolve_cond_ratio() == 1e-9
+    # check_level reads the floor from the module at call time
+    monkeypatch.setattr(sdp_module, "DEFAULT_MIN_COND_RATIO", 1e-9)
     assert build_relaxation(T, 21).p == 22
-    monkeypatch.setenv(COND_RATIO_ENV, "1e-12")
-    assert resolve_cond_ratio() == 1e-12
+    monkeypatch.setattr(sdp_module, "DEFAULT_MIN_COND_RATIO", 1e-12)
     assert build_relaxation(T, 22).p == 23
-    monkeypatch.setenv(COND_RATIO_ENV, "abc")
-    with pytest.raises(ValueError):
-        resolve_cond_ratio()
-    monkeypatch.setenv(COND_RATIO_ENV, "0")
+    monkeypatch.setattr(sdp_module, "DEFAULT_MIN_COND_RATIO", 0.0)
     assert build_relaxation(T, 30).p == 31  # zero switches the floor off
     # where a dense eigensolve rounds lambda_min below zero
     check_level(2, 54)
@@ -129,17 +121,6 @@ def test_schur_memory_guard(monkeypatch):
 def test_physical_memory_reader():
     memory = sdp_module._physical_memory()
     assert memory is None or (isinstance(memory, int) and memory > 0)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_conditioning_floor_rejects_non_finite_and_negative(monkeypatch,
-                                                            value):
-    # nan would compare False against every ratio and silently drop the
-    # floor; reject it, like inf and negative floors, by name
-    T = _random_poly(2, 4, 5)
-    monkeypatch.setenv(COND_RATIO_ENV, value)
-    with pytest.raises(ValueError, match=COND_RATIO_ENV):
-        build_relaxation(T, 20)
 
 
 def test_uniform_conditioning_decays_exponentially():
@@ -177,7 +158,7 @@ def test_objective_encoding_pairs_against_moment_matrix():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(prob.q)
     M = prob.moment_matrix(y)
-    Z = prob.objective_matrix()
+    Z = prob.objective_matrix
     assert float(np.sum(Z * M)) == pytest.approx(
         float(prob.objective @ y), rel=1e-11, abs=1e-11)
 
