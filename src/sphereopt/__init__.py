@@ -12,8 +12,8 @@ at an explicit o(1) rate in the level.
 from .definetti import (BoundsReport, SphereMeasureDensity, density_constant,
                         lower_bound, measure_density, reduced_state,
                         solve_and_report)
-from .harmonics import (EpsBound, definetti_eps, integrate_poly, lambda_coeff,
-                        moment_table, sphere_moment_vector, surface_area)
+from .harmonics import (EpsBound, definetti_eps, lambda_coeff, moment_table,
+                        sphere_moment_vector, surface_area)
 from .multiindex import basis_catalog, sym_dimension
 from .oracle import OracleResult, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
@@ -37,7 +37,7 @@ __all__ = [
     "basis_catalog", "build_relaxation", "canonicalize", "definetti_eps",
     "density_constant", "evaluate", "extract_sos_certificate",
     "gamma_factor", "gradient", "homo_poly", "homogenize_terms",
-    "integrate_poly", "lambda_coeff", "lift_odd", "lower_bound",
+    "lambda_coeff", "lift_odd", "lower_bound",
     "measure_density", "moment_table",
     "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",

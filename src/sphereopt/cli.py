@@ -40,8 +40,7 @@ import numpy as np
 from .definetti import candidate_points, solve_and_report
 from .oracle import polish, sphere_maximize
 from .polymat import evaluate
-from .reduction import (canonicalize, pullback_bounds, pullback_points,
-                        solve_shape)
+from .reduction import canonicalize, pullback_bounds, pullback_points
 from .sdp import (ResourceGuardError, SolverError, STATUS_OPTIMAL,
                   build_relaxation, check_level, check_solve_options,
                   extract_sos_certificate, resolve_max_p)
@@ -96,7 +95,8 @@ def parse_poly(text, n=None):
     """Parse an expression like ``3.5*x1^2*x2 - x3^4`` into (n, terms).
 
     Terms map exponent tuples to coefficients.  Variables are x1, x2, ...;
-    when ``n`` is omitted it is inferred as the largest index used.
+    when ``n`` is omitted it is inferred as the largest index used, and
+    when given, the first variable above it is an error at its position.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -153,7 +153,8 @@ def parse_poly(text, n=None):
     if n is None:
         n = max_index
     elif max_index > n:
-        raise ParseError(f"variable x{max_index} exceeds --n {n}", 0)
+        idx, pos = next(t[1:] for t in tokens if t[0] == "var" and t[1] > n)
+        raise ParseError(f"variable x{idx} exceeds --n {n}", pos)
     out = {}
     for key, c in terms.items():
         e = [0] * n
@@ -464,6 +465,8 @@ def run(args, out=None, err=None):
         if args.oracle and args.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         max_p = resolve_max_p(args.max_p)
+        if args.n is not None and args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         if args.poly is not None:
             n, terms = parse_poly(args.poly, args.n)
         else:
@@ -478,23 +481,23 @@ def run(args, out=None, err=None):
             if args.n is not None and args.n != n:
                 raise ValueError(
                     f"--n {args.n} conflicts with JSON field n = {n}")
-        solve_n, a = solve_shape(n, terms)
+        record = canonicalize(n, terms)
     except ValueError as exc:
         err.write(f"sphereopt: {exc}\n")
         return EXIT_INPUT
 
     try:
-        # Padding the terms to one degree makes about as many terms as the
-        # base level has rows, so the guards run first, on the deepest
-        # level asked for, and a bad range fails fast.  The automatic
-        # climb guards only its base level here; it builds the levels
-        # above, and computes its top, as it reaches them.
+        # Reading record.solve_target pads the terms to one degree, which
+        # makes about as many terms as the base level has rows, so the
+        # guards run first, on the deepest level asked for, and a bad
+        # range fails fast.  The automatic climb guards only its base
+        # level here; it builds the levels above, and computes its top, as
+        # it reaches them.
         if args.level is None:
-            levels = [a]
+            levels = [record.a]
         else:
-            levels = _parse_level_spec(args.level, a)
-        check_level(solve_n, levels[-1], max_p)
-        record = canonicalize(n, terms)
+            levels = _parse_level_spec(args.level, record.a)
+        check_level(record.solve_n, levels[-1], max_p)
         target = record.solve_target
         problems = [build_relaxation(target, level, max_p=max_p)
                     for level in levels]

@@ -44,9 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonics import definetti_eps, lambda_coeff, moment_table, surface_area
-from .polymat import (MaxSymMatrix, _trace_gather, _vec_scale, evaluate,
-                      poly_to_vector)
+from .harmonics import definetti_eps, lambda_coeff, surface_area
+from .polymat import MaxSymMatrix, _trace_gather, evaluate, poly_to_vector
 from .sdp import solve_sdp
 
 
@@ -59,13 +58,11 @@ def density_constant(n, level):
 class SphereMeasureDensity:
     """Probability density rho_M = c Q_M on the unit sphere.
 
-    ``coeffs`` holds the coefficients of rho_M over the degree-2l catalog;
-    ``poly`` is the same density as a polynomial, built on first use.
+    ``poly`` is the density as a polynomial, built on first use.
     """
 
     state: MaxSymMatrix
     constant: float
-    coeffs: np.ndarray
 
     @property
     def n(self):
@@ -77,16 +74,10 @@ class SphereMeasureDensity:
 
     @cached_property
     def poly(self):
-        # the terms of Q_M times c: the values of ``coeffs`` at the nonzero
-        # coefficients of Q_M, bit for bit
         return self.state.to_poly().scaled(self.constant)
 
     def __call__(self, x):
         return evaluate(self.poly, x)
-
-    def mass(self):
-        """Exact total integral; equals one up to roundoff."""
-        return float(moment_table(self.n, 2 * self.level) @ self.coeffs)
 
 
 def measure_density(M, psd_tol=1e-7):
@@ -103,9 +94,8 @@ def measure_density(M, psd_tol=1e-7):
     if eig[0] < -psd_tol * max(float(eig[-1]), 1e-300):
         raise ValueError("state must be positive semidefinite, "
                          f"lowest eigenvalue {eig[0]:.3e}")
-    c = density_constant(M.n, M.ell)
-    return SphereMeasureDensity(
-        state=M, constant=c, coeffs=c * (M.vec * _vec_scale(M.n, 2 * M.ell)))
+    return SphereMeasureDensity(state=M,
+                                constant=density_constant(M.n, M.ell))
 
 
 def _trace_step(vec, n, level):
@@ -212,10 +202,6 @@ class BoundsReport:
     tol: float
     density: SphereMeasureDensity | None = dataclasses.field(
         default=None, compare=False, repr=False)
-
-    @property
-    def width(self):
-        return self.nu_upper - self.nu_lower
 
 
 def solve_and_report(problem, tol=1e-8, max_iterations=100):

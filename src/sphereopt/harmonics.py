@@ -23,7 +23,7 @@ Main objects:
 * definetti_eps(a, l, n) = 4 a^2 (a + n/2 - 1) / (2l + n), the de Finetti
   relative-error constant.
 
-* moment_table and integrate_poly: exact normalized moments of monomials,
+* moment_table: exact normalized moments of monomials,
   int x^{2b} dx = prod_t (2 b_t - 1)!! / prod_{k<|b|} (n + 2k), zero for any
   odd exponent.
 """
@@ -105,12 +105,6 @@ def moment_table(n, degree):
                     for row in basis_catalog(n, degree).tolist()])
     out.setflags(write=False)
     return out
-
-
-def integrate_poly(T):
-    """Exact integral of a homogeneous polynomial over the sphere."""
-    return float(sum(a * _moment_cached(T.n, mi)
-                     for mi, a in T.coeffs.items()))
 
 
 def sphere_moment_vector(n, degree):

@@ -87,9 +87,6 @@ class HomoPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def max_abs_coeff(self):
-        return max((abs(a) for a in self.coeffs.values()), default=0.0)
-
     def catalog_terms(self):
         """(exponents, coefficient) pairs in catalog (x1-major) order."""
         return sorted(self.coeffs.items(), reverse=True)
@@ -269,6 +266,29 @@ def _pair_maps(n, level):
 
 
 @lru_cache(maxsize=None)
+def _schur_layout(n, level):
+    """Entries of ``_pair_maps(n, level)`` sorted by class, for the Schur
+    assembly.
+
+    Returns (order, bounds, counts, rows, cols, weights): the stable sort
+    of the flattened p x p entries by class, the q + 1 bounds of the class
+    segments in it and their q lengths, and each sorted entry's row,
+    column and weight.  Every class is nonempty: a multi-index of degree
+    2 level splits into two of degree level.
+    """
+    KK, WW, _ = _pair_maps(n, level)
+    kflat = KK.ravel()
+    order = np.argsort(kflat, kind="stable")
+    bounds = np.searchsorted(kflat[order],
+                             np.arange(sym_dimension(n, 2 * level) + 1))
+    rows, cols = np.divmod(order, len(KK))
+    out = order, bounds, np.diff(bounds), rows, cols, WW.ravel()[order]
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _trace_gather(n, level):
     """Gather map of the single-system partial trace at ``level``.
 
@@ -293,8 +313,7 @@ class MaxSymMatrix:
     vectorization, a dense array over the degree-2*ell catalog.  The p x p
     matrix view is derived lazily; the degree-2*ell polynomial view is
     ``to_poly()``.  Being maximally symmetric is structural: every vec gives
-    a valid instance, and projections from general matrices go through
-    :meth:`from_matrix`.
+    a valid instance.
     """
 
     n: int
@@ -323,20 +342,6 @@ class MaxSymMatrix:
     def to_poly(self):
         """Degree-2*ell polynomial Q with Q(x) = <x|^{(x)ell} M |x>^{(x)ell}."""
         return vector_to_poly(self.n, 2 * self.ell, self.vec)
-
-    @classmethod
-    def from_matrix(cls, n, ell, A):
-        """Orthogonal projection of a symmetric matrix onto the maximally
-        symmetric subspace (lossless when A already lies in it)."""
-        p = sym_dimension(n, ell)
-        A = np.asarray(A, dtype=float)
-        if A.shape != (p, p):
-            raise ValueError(f"expected a {p} x {p} matrix")
-        A = (A + A.T) / 2.0
-        KK, WW, _ = _pair_maps(n, ell)
-        q = sym_dimension(n, 2 * ell)
-        vec = np.bincount(KK.ravel(), weights=(A * WW).ravel(), minlength=q)
-        return cls(n=n, ell=ell, vec=vec)
 
 
 def multiply_r2(T, k):

@@ -28,11 +28,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .multiindex import exponent_tuple
-from .polymat import HomoPoly, add_terms, homo_poly, multiply_r2
+from .polymat import HomoPoly, add_terms, multiply_r2
 
 
 def gamma_factor(a):
@@ -48,8 +49,84 @@ def _require_finite(coeffs):
         raise ValueError("polynomial coefficients must be finite")
 
 
-def _clean_terms(n, terms):
-    """Validated nonzero terms, summed per exponent, and the target degree."""
+def homogenize_terms(n, terms):
+    """Single homogeneous polynomial equal on the sphere to the given terms.
+
+    ``terms`` maps exponent tuples of length n to coefficients, possibly of
+    several degrees.  All degrees must share one parity and every summed
+    coefficient must be finite; lower-degree terms are padded with powers
+    of the squared radius.  A constant becomes a degree-2 polynomial (the
+    smallest positive even degree).
+    """
+    return canonicalize(n, terms).original
+
+
+def lift_odd(T):
+    """x_0 * T as an even-degree polynomial in one extra leading variable."""
+    if T.degree % 2 != 1:
+        raise ValueError("lift applies to odd-degree polynomials")
+    return HomoPoly(T.n + 1, T.degree + 1,
+                    {(1,) + mi: a for mi, a in T.coeffs.items() if a != 0.0})
+
+
+@dataclass(frozen=True)
+class ReductionRecord:
+    """How an input reduces to an even homogeneous problem.
+
+    ``terms`` maps exponent tuples of length ``n`` to nonzero finite sums,
+    in first-seen order, and ``degree`` is the degree they pad to.  The
+    solved shape, ``solve_n`` variables and half-degree ``a``, follows
+    from these alone, so guards can run before any padding.  ``original``
+    (the padded terms) and ``solve_target`` (``original``, or its lift for
+    an odd degree) are built on first use, where a padded sum that
+    overflows raises ValueError.  Bounds for ``solve_target`` divided by
+    ``gamma`` are bounds for ``original``.
+    """
+
+    n: int
+    terms: dict
+    degree: int
+
+    @property
+    def lifted(self):
+        return self.degree % 2 == 1
+
+    @property
+    def solve_n(self):
+        return self.n + self.degree % 2
+
+    @property
+    def a(self):
+        return (self.degree + 1) // 2
+
+    @property
+    def gamma(self):
+        return gamma_factor(self.a) if self.lifted else 1.0
+
+    @cached_property
+    def original(self):
+        coeffs = {}
+        for mi, a in self.terms.items():
+            degree = sum(mi)
+            add_terms(coeffs, multiply_r2(HomoPoly(self.n, degree, {mi: a}),
+                                          (self.degree - degree) // 2).coeffs)
+        # padding adds terms up, which can overflow
+        _require_finite(coeffs)
+        return HomoPoly(self.n, self.degree, coeffs)
+
+    @cached_property
+    def solve_target(self):
+        return lift_odd(self.original) if self.lifted else self.original
+
+
+def canonicalize(n, terms):
+    """Validate raw terms in one pass; see :class:`ReductionRecord`.
+
+    Sums the coefficients per exponent tuple and drops zero sums.  Raises
+    ValueError for fewer than two variables, a malformed exponent tuple, a
+    sum that is not finite, terms that are all zero and terms of mixed
+    degree parity.  A constant alone is padded to degree 2.
+    """
     if n < 2:
         raise ValueError("sphere optimization needs at least two variables")
     cleaned = {}
@@ -68,71 +145,7 @@ def _clean_terms(n, terms):
         raise ValueError(
             "terms of mixed degree parity cannot be made homogeneous "
             "on the sphere")
-    return cleaned, max(degrees) or 2
-
-
-def homogenize_terms(n, terms):
-    """Single homogeneous polynomial equal on the sphere to the given terms.
-
-    ``terms`` maps exponent tuples of length n to coefficients, possibly of
-    several degrees.  All degrees must share one parity and every summed
-    coefficient must be finite; lower-degree terms are padded with powers
-    of the squared radius.  A constant becomes a degree-2 polynomial (the
-    smallest positive even degree).
-    """
-    cleaned, target = _clean_terms(n, terms)
-    coeffs = {}
-    for mi, a in cleaned.items():
-        degree = sum(mi)
-        add_terms(coeffs, multiply_r2(homo_poly(n, degree, {mi: a}),
-                                      (target - degree) // 2).coeffs)
-    # padding adds terms up, which can overflow
-    _require_finite(coeffs)
-    return HomoPoly(n, target, coeffs)
-
-
-def solve_shape(n, terms):
-    """(variables, half-degree a) of the problem ``canonicalize`` solves.
-
-    Validates the terms as :func:`homogenize_terms` does without padding
-    them, so that size guards can run before the padding's cost.
-    """
-    _, degree = _clean_terms(n, terms)
-    return n + degree % 2, (degree + 1) // 2
-
-
-def lift_odd(T):
-    """x_0 * T as an even-degree polynomial in one extra leading variable."""
-    if T.degree % 2 != 1:
-        raise ValueError("lift applies to odd-degree polynomials")
-    terms = {(1,) + mi: a for mi, a in T.coeffs.items()}
-    return homo_poly(T.n + 1, T.degree + 1, terms)
-
-
-@dataclass(frozen=True)
-class ReductionRecord:
-    """How an input was massaged into an even homogeneous problem.
-
-    ``solve_target`` is what the relaxation runs on; bounds for it divided
-    by ``gamma`` are bounds for ``original`` (gamma is one when no lift
-    happened).
-    """
-
-    original: HomoPoly
-    solve_target: HomoPoly
-    lifted: bool
-    gamma: float
-
-
-def canonicalize(n, terms):
-    """Normalize raw terms into an even homogeneous problem plus bookkeeping."""
-    original = homogenize_terms(n, terms)
-    if original.degree % 2 == 0:
-        return ReductionRecord(original=original, solve_target=original,
-                               lifted=False, gamma=1.0)
-    a = (original.degree + 1) // 2
-    return ReductionRecord(original=original, solve_target=lift_odd(original),
-                           lifted=True, gamma=gamma_factor(a))
+    return ReductionRecord(n, cleaned, max(degrees) or 2)
 
 
 def pullback_points(record, Z):
@@ -156,8 +169,8 @@ def pullback_bounds(record, report):
     g = record.gamma
     return dataclasses.replace(
         report,
-        n=record.original.n,
-        degree=record.original.degree,
+        n=record.n,
+        degree=record.degree,
         nu_upper=report.nu_upper / g,
         nu_lower=report.nu_lower / g,
         duality_gap=report.duality_gap / g)

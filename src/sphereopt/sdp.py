@@ -77,8 +77,8 @@ import numpy as np
 
 from .harmonics import sphere_moment_vector
 from .multiindex import sym_dimension
-from .polymat import (HomoPoly, MaxSymMatrix, _pair_maps, multiply_r2,
-                      poly_to_vector, vector_to_poly)
+from .polymat import (HomoPoly, MaxSymMatrix, _pair_maps, _schur_layout,
+                      multiply_r2, poly_to_vector, vector_to_poly)
 
 FLAPACK = "scipy.linalg._flapack"
 
@@ -194,7 +194,10 @@ class SdpProblem:
 
     ``objective`` holds the number-state coordinates c of the encoded
     objective, so that tr(Z M(y)) = c . y; ``tau`` satisfies
-    tr M(y) = tau . y.
+    tr M(y) = tau . y.  What depends on (n, l) alone, the class maps
+    (``polymat._pair_maps``) and their class-sorted layout for the Schur
+    assembly (``polymat._schur_layout``), is cached per shape and shared
+    by every problem of that shape.
     """
 
     n: int
@@ -216,23 +219,6 @@ class SdpProblem:
         KK, WW, _ = _pair_maps(self.n, self.ell)
         return np.bincount(KK.ravel(), weights=(WW * A).ravel(),
                            minlength=self.q)
-
-    @cached_property
-    def pair_structure(self):
-        """Entry classes sorted for the streamed Schur assembly.
-
-        (order, starts, rows, cols, weights): the stable ordering of
-        flattened p x p entries by class, the q segment starts of that
-        ordering, and the row, column and weight of every entry in that
-        order.  Every class is nonempty (any multi-index of degree 2l
-        splits into two of degree l).
-        """
-        KK, WW, _ = _pair_maps(self.n, self.ell)
-        kflat = KK.ravel()
-        order = np.argsort(kflat, kind="stable")
-        starts = np.searchsorted(kflat[order], np.arange(self.q))
-        rows, cols = np.divmod(order, self.p)
-        return order, starts, rows, cols, WW.ravel()[order]
 
     @cached_property
     def objective_matrix(self):
@@ -384,12 +370,14 @@ def _schur_matrix(problem, Y):
     final symmetrization are those of the dense formulation, so S does not
     change in a single bit.  Classes stream in blocks of at most 2^16
     p x p entries (512 KB per buffer) to keep the working set in cache;
-    the assembly costs q p^3 flops.
+    the assembly costs q p^3 flops.  The class-sorted entries, their
+    segment bounds and counts come from ``polymat._schur_layout``, built
+    once per (n, level).
     """
     p, q = problem.p, problem.q
-    order, starts, rows, cols, weights = problem.pair_structure
-    bounds = np.append(starts, p * p)
-    counts = np.diff(bounds)
+    order, bounds, counts, rows, cols, weights = _schur_layout(problem.n,
+                                                               problem.ell)
+    starts = bounds[:-1]
     block = max(1, min(q, 2**16 // (p * p)))
     S = np.empty((q, q))
     for k0 in range(0, q, block):

@@ -8,15 +8,18 @@ the tests instead of shipping with the package:
 * brute-force product-space constructions (explicit number states and the
   explicit symmetrizer), guarded to small sizes;
 * polynomial identities: the Laplacian and its partial-trace route, powers
-  of r^2, the matrix encoding of a polynomial, and the dense partial trace
-  of a p x p matrix, against which the package's gather on coordinates is
-  tested;
+  of r^2, the matrix encoding of a polynomial, the orthogonal projection
+  of a p x p matrix onto the maximally symmetric matrices, and the dense
+  partial trace of a p x p matrix, against which the package's gather on
+  coordinates is tested;
 * spherical-harmonic analysis: harmonic dimensions, Gegenbauer
   polynomials, kernel-coefficient ratios and their gap bounds, monomial
-  moments, the harmonic decomposition and the Funk-Hecke identity;
+  moments, exact integrals of polynomials, the harmonic decomposition and
+  the Funk-Hecke identity;
 * Monte-Carlo sphere integration;
 * the sequential local search that the lock-step oracle replaced;
-* de Finetti checks: the moment matrix of a density by exact monomial
+* de Finetti checks: the coefficients and exact mass of a density, the
+  moment matrix of a density by exact monomial
   integration over the sum-index map (the route the package's chain-sum
   lower bound is tested against), trace distances, the trace-norm and
   polynomial-pairing distances between a reduction and its measure
@@ -44,8 +47,9 @@ from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
                                   sym_dimension)
 from sphereopt.oracle import OracleResult, _restart_rng, sphere_maximize
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
-                               _vec_scale, evaluate, gradient, homo_poly,
-                               multiply_r2, poly_to_vector, vector_to_poly)
+                               _pair_maps, _vec_scale, evaluate, gradient,
+                               homo_poly, multiply_r2, poly_to_vector,
+                               vector_to_poly)
 
 
 # Number states and the symmetrizer in the n^l product space.
@@ -146,6 +150,20 @@ def poly_to_maxsym_matrix(T):
     if T.degree % 2 != 0:
         raise ValueError("matrix encoding needs an even-degree polynomial")
     return MaxSymMatrix(n=T.n, ell=T.degree // 2, vec=poly_to_vector(T))
+
+
+def maxsym_projection(n, ell, A):
+    """Orthogonal projection of a p x p matrix onto the maximally symmetric
+    subspace (lossless when A already lies in it)."""
+    p = sym_dimension(n, ell)
+    A = np.asarray(A, dtype=float)
+    if A.shape != (p, p):
+        raise ValueError(f"expected a {p} x {p} matrix")
+    A = (A + A.T) / 2.0
+    KK, WW, _ = _pair_maps(n, ell)
+    vec = np.bincount(KK.ravel(), weights=(A * WW).ravel(),
+                      minlength=sym_dimension(n, 2 * ell))
+    return MaxSymMatrix(n=n, ell=ell, vec=vec)
 
 
 def laplacian(T):
@@ -288,6 +306,12 @@ def sphere_monomial_moment(exponents):
     return _moment_cached(len(exps), exps)
 
 
+def integrate_poly(T):
+    """Exact integral of a homogeneous polynomial over the sphere."""
+    return float(sum(a * _moment_cached(T.n, mi)
+                     for mi, a in T.coeffs.items()))
+
+
 @dataclass(frozen=True, eq=False)
 class HarmonicDecomposition:
     """Layers of T = sum_j h_j r^{d-j}, keyed by harmonic degree j.
@@ -339,7 +363,7 @@ def harmonic_decompose(T):
             if j in parts:
                 residual = residual - multiply_r2(parts[j], k - m).scaled(coef(k, m))
         h = residual.scaled(1.0 / coef(m, m))
-        scale = T.max_abs_coeff()
+        scale = max(map(abs, T.coeffs.values()), default=0.0)
         h = HomoPoly(n, d - 2 * m,
                      {mi: a for mi, a in h.coeffs.items()
                       if abs(a) > 1e-14 * max(1.0, scale)})
@@ -362,8 +386,9 @@ def funk_hecke_residual(f, level, y):
     if yv.shape != (n,) or abs(yv @ yv - 1.0) > 1e-10:
         raise ValueError("y must be a unit vector of length n")
     if f.degree >= 2:
-        lap = laplacian(f)
-        if lap.max_abs_coeff() > 1e-9 * max(1.0, f.max_abs_coeff()):
+        lap = max(map(abs, laplacian(f).coeffs.values()), default=0.0)
+        top = max(map(abs, f.coeffs.values()), default=0.0)
+        if lap > 1e-9 * max(1.0, top):
             raise ValueError("input polynomial is not harmonic")
     lhs = 0.0
     log_fact = math.lgamma(2 * level + 1)
@@ -488,6 +513,18 @@ def _sum_index_map(n, d1, d2):
     return out
 
 
+def density_coeffs(density):
+    """Coefficients of the density c Q_M over the degree-2l catalog."""
+    M = density.state
+    return density.constant * (M.vec * _vec_scale(M.n, 2 * M.ell))
+
+
+def density_mass(density):
+    """Exact total integral of a density; equals one up to roundoff."""
+    return float(moment_table(density.n, 2 * density.level)
+                 @ density_coeffs(density))
+
+
 def moment_matrix_of_density(density, a):
     """Level-a moment matrix of the measure: averages of |x><x|^{(x)a}.
 
@@ -502,7 +539,7 @@ def moment_matrix_of_density(density, a):
     # entry k is the integral of x^k rho; summing onto zeros keeps the
     # zero entries +0.0
     v = np.zeros(len(S))
-    v += moment_table(n, 2 * a + degree)[S] @ density.coeffs
+    v += moment_table(n, 2 * a + degree)[S] @ density_coeffs(density)
     return MaxSymMatrix(n, a, _vec_scale(n, 2 * a) * v)
 
 
@@ -648,14 +685,14 @@ def random_msym_state(n, level, seed=0, clip_rounds=3):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4d53]))
     p = sym_dimension(n, level)
     R = rng.standard_normal((p, p))
-    state = MaxSymMatrix.from_matrix(n, level, R @ R.T)
+    state = maxsym_projection(n, level, R @ R.T)
     state = MaxSymMatrix(n, level, state.vec / state.trace())
     for _ in range(clip_rounds):
         w, V = np.linalg.eigh(state.matrix)
         if w[0] >= 0.0:
             break
         clipped = (V * np.clip(w, 0.0, None)) @ V.T
-        state = MaxSymMatrix.from_matrix(n, level, clipped)
+        state = maxsym_projection(n, level, clipped)
         state = MaxSymMatrix(n, level, state.vec / state.trace())
     low = float(np.linalg.eigvalsh(state.matrix)[0])
     if low < 0.0:

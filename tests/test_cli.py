@@ -12,9 +12,10 @@ from sphereopt import cli, definetti, oracle, polymat, reduction, sdp
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
                            ParseError, choose_level, load_json_input, main,
                            parse_poly)
-from sphereopt.harmonics import integrate_poly
 from sphereopt.polymat import homo_poly
 from sphereopt.sdp import ResourceGuardError, SolverError
+
+from reference import integrate_poly
 
 
 def _run(argv):
@@ -48,6 +49,37 @@ def test_parse_poly_explicit_dimension():
     assert terms == {(2, 0, 0): 1.0}
     with pytest.raises(ParseError, match="exceeds --n"):
         parse_poly("x3^2", 2)
+
+
+# as for every token, the position is where the variable's match starts,
+# before any whitespace
+@pytest.mark.parametrize("text, message", [
+    ("x1^2 + x3^2", "position 6: variable x3 exceeds --n 2"),
+    ("x1^2 + x4^2 - x3^2", "position 6: variable x4 exceeds --n 2"),
+    ("x1*x3^2 + x5", "position 3: variable x3 exceeds --n 2"),
+    ("x3", "position 0: variable x3 exceeds --n 2"),
+])
+def test_parse_poly_points_at_the_first_variable_above_n(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, 2)
+    assert str(info.value) == f"parse error at {message}"
+    assert info.value.position == int(message.split(":")[0].split()[1])
+    code, out, err = _run(["--poly", text, "--n", "2"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"sphereopt: parse error at {message}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_is_refused_up_front(monkeypatch, tmp_path, n):
+    _forbid_solving(monkeypatch)
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"n": 2, "terms": [{"coeff": 1.0,
+                                                   "exps": [2, 0]}]}),
+                    encoding="utf-8")
+    for source in (["--poly", "x1^2+x2^2"], ["--input", str(path)]):
+        code, out, err = _run(source + ["--n", n])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"sphereopt: --n must be at least 1, got {n}\n"
 
 
 def test_parse_poly_error_positions():
@@ -393,6 +425,30 @@ def test_schur_memory_guard_exits_before_any_work(monkeypatch):
     assert choose_level(5, 2, 5000) == 12
     monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
     assert choose_level(5, 2, 5000) == 16
+
+
+@pytest.mark.parametrize("poly, level", [
+    ("x1^4 - 3*x1^2*x2^2 + 0.5*x3^2 + x1*x1^3 + 2", "2"),
+    ("x1^3 + 2*x1*x2^2 - x2 + 0*x2^3", "3"),
+], ids=["even", "odd"])
+def test_each_input_term_is_validated_once(monkeypatch, poly, level):
+    # one exponent_tuple call per parsed term over a whole CLI call,
+    # through homogenization and, for the cubic, the lift
+    _, terms = parse_poly(poly)
+    seen = []
+    real = sys.modules["sphereopt.multiindex"].exponent_tuple
+
+    def spy(exponents, *args, **kwargs):
+        seen.append(tuple(exponents))
+        return real(exponents, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sphereopt") and hasattr(module, "exponent_tuple"):
+            monkeypatch.setattr(module, "exponent_tuple", spy)
+    code, out, err = _run(["--poly", poly, "--level", level, "--oracle",
+                           "--certificate"])
+    assert code == EXIT_OK and err == "" and out
+    assert seen == list(terms)
 
 
 def test_size_guard_fires_before_homogenization_pads(monkeypatch):

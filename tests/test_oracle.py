@@ -142,7 +142,7 @@ def test_mc_sphere_integral_constant_and_coordinate():
 
 
 def test_mc_sphere_integral_poly_matches_exact():
-    from sphereopt.harmonics import integrate_poly
+    from reference import integrate_poly
     T = homo_poly(2, 4, {(4, 0): 1.0, (2, 2): 1.0})
     est, se = mc_sphere_integral_poly(T, samples=300_000, seed=4)
     assert est == pytest.approx(integrate_poly(T), abs=max(5 * se, 2e-3))

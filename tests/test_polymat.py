@@ -8,10 +8,11 @@ from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.polymat import (MaxSymMatrix, _pair_maps, evaluate, gradient,
                                homo_poly, multiply_r2, poly_to_vector,
                                vector_to_poly)
+from sphereopt.sdp import build_relaxation
 
 from reference import (dense_number_state, laplacian,
-                       laplacian_via_trace_check, partial_trace_matrix,
-                       poly_to_maxsym_matrix, r2k_poly)
+                       laplacian_via_trace_check, maxsym_projection,
+                       partial_trace_matrix, poly_to_maxsym_matrix, r2k_poly)
 
 
 def _random_poly(n, degree, seed):
@@ -200,21 +201,30 @@ def test_matrix_poly_roundtrip():
     M = poly_to_maxsym_matrix(T)
     back = M.to_poly()
     diff = back - T
-    assert diff.max_abs_coeff() < 1e-12
+    assert max(map(abs, diff.coeffs.values()), default=0.0) < 1e-12
 
 
-def test_from_matrix_is_projection():
+def test_project_of_symmetrized_matrix_is_projection():
+    # SdpProblem.project of (A + A') / 2 gives the coordinates of the
+    # orthogonal projection onto the maximally symmetric subspace
     rng = np.random.default_rng(4)
     n, ell = 3, 2
+    prob = build_relaxation(_random_poly(n, 2 * ell, 4), ell)
+
+    def project(A):
+        return MaxSymMatrix(n, ell, prob.project((A + A.T) / 2.0))
+
     M0 = MaxSymMatrix(n, ell, rng.standard_normal(
         len(basis_catalog(n, 2 * ell))))
-    again = MaxSymMatrix.from_matrix(n, ell, M0.matrix)
+    again = project(M0.matrix)
     assert np.allclose(again.vec, M0.vec, atol=1e-12)
     # projecting twice equals projecting once
     A = rng.standard_normal(M0.matrix.shape)
-    P1 = MaxSymMatrix.from_matrix(n, ell, A)
-    P2 = MaxSymMatrix.from_matrix(n, ell, P1.matrix)
+    P1 = project(A)
+    P2 = project(P1.matrix)
     assert np.allclose(P1.vec, P2.vec, atol=1e-12)
+    # the package route is the reference projection, bit for bit
+    assert np.array_equal(P1.vec, maxsym_projection(n, ell, A).vec)
 
 
 def test_trace_matches_matrix_trace():
@@ -283,7 +293,7 @@ def test_reduced_state_product_state():
     n, ell = 3, 3
     x = np.array([0.6, 0.0, 0.8])
     s_hi = _product_coords(x, ell)
-    M = MaxSymMatrix.from_matrix(n, ell, np.outer(s_hi, s_hi))
+    M = maxsym_projection(n, ell, np.outer(s_hi, s_hi))
     for a in (1, 2):
         red = reduced_state(M, a)
         s_lo = _product_coords(x, a)
@@ -326,7 +336,7 @@ def test_reduced_state_matches_dense_partial_trace(n, level):
         red = reduced_state(M, a)
         dense = partial_trace_matrix(dense, n, a + 1)
         assert _rel_diff(red.matrix, dense) <= 1e-14
-        projected = MaxSymMatrix.from_matrix(n, a, dense)
+        projected = maxsym_projection(n, a, dense)
         assert _rel_diff(red.vec, projected.vec) <= 2e-14
         # the trace is kept, to roundoff of the terms it sums
         assert abs(red.trace() - M.trace()) <= 1e-14 * trace_scale

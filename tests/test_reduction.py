@@ -1,17 +1,23 @@
+import importlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from sphereopt import reduction
+from sphereopt.cli import parse_poly
 from sphereopt.definetti import solve_and_report
 from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import HomoPoly, evaluate, homo_poly, multiply_r2
+from sphereopt.polymat import (HomoPoly, add_terms, evaluate, homo_poly,
+                               multiply_r2)
 from sphereopt.reduction import (canonicalize, gamma_factor, homogenize_terms,
                                  lift_odd, pullback_bounds, pullback_points)
 from sphereopt.sdp import build_relaxation
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_gamma_factor_matches_profile_maximum():
@@ -44,9 +50,10 @@ def test_homogenize_pads_with_squared_radius():
 
 def _homogenize_by_addition(n, terms):
     # one HomoPoly sum per input term, the padded terms added with +
-    cleaned, target = reduction._clean_terms(n, terms)
+    rec = canonicalize(n, terms)
+    target = rec.degree
     out = HomoPoly(n, target, {})
-    for mi, a in cleaned.items():
+    for mi, a in rec.terms.items():
         degree = sum(mi)
         out = out + multiply_r2(homo_poly(n, degree, {mi: a}),
                                 (target - degree) // 2)
@@ -170,3 +177,89 @@ def test_pullback_points_fold_the_sign_of_x0():
     lifted = evaluate(rec.solve_target, Z[:2])
     scale = np.abs(Z[:2, 0]) * np.linalg.norm(Z[:2, 1:], axis=1) ** 3
     assert np.allclose(lifted, scale * evaluate(rec.original, X), atol=1e-15)
+
+
+def _per_term_route(n, terms):
+    # the reduction as it was written before canonicalize validated the
+    # terms once: the terms summed per exponent tuple, then one validated
+    # homo_poly per term, padded and accumulated, then a lift that
+    # validates every term again
+    cleaned = {}
+    for mi, a in terms.items():
+        if a != 0.0:
+            cleaned[mi] = cleaned.get(mi, 0.0) + a
+    cleaned = {mi: a for mi, a in cleaned.items() if a != 0.0}
+    target = max(sum(mi) for mi in cleaned) or 2
+    coeffs = {}
+    for mi, a in cleaned.items():
+        degree = sum(mi)
+        add_terms(coeffs, multiply_r2(homo_poly(n, degree, {mi: a}),
+                                      (target - degree) // 2).coeffs)
+    original = HomoPoly(n, target, coeffs)
+    if target % 2 == 0:
+        return original, original
+    lifted = homo_poly(n + 1, target + 1,
+                       {(1,) + mi: a for mi, a in original.coeffs.items()})
+    return original, lifted
+
+
+def _benchmark_terms(monkeypatch):
+    # the parsed inputs of seed-1 rounds 0-2 of every benchmark workload
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = importlib.import_module("bench")
+    for round_fn in (bench.deep_round, bench.wide_round, bench.cold_round):
+        for r in range(3):
+            for case in round_fn(1, r):
+                yield parse_poly(case["argv"][case["argv"].index("--poly")
+                                              + 1])
+
+
+def _terms_bits(T):
+    return [(mi, a.hex()) for mi, a in T.coeffs.items()]
+
+
+def test_canonicalize_matches_the_per_term_route(monkeypatch):
+    cases = list(_benchmark_terms(monkeypatch))
+    assert len(cases) == 3 * (1 + 3 + 8)
+    cases += list(_homogenize_cases())
+    # odd degrees: a mixed quintic, and a cubic that cancels to zero
+    cases += [(3, {(5, 0, 0): 1.5, (1, 2, 0): -0.25, (0, 0, 1): 2.0,
+                   (0, 3, 0): 0.0}),
+              (2, {(3, 0): 1.0, (1, 0): -1.0, (1, 2): 1.0})]
+    lifts = 0
+    for n, terms in cases:
+        rec = canonicalize(n, terms)
+        original, target = _per_term_route(n, terms)
+        assert rec.degree == original.degree
+        assert (rec.solve_n, rec.a) == (target.n, target.degree // 2)
+        assert rec.lifted == (target is not original)
+        assert rec.gamma == (gamma_factor(rec.a) if rec.lifted else 1.0)
+        assert _terms_bits(rec.original) == _terms_bits(original)
+        assert rec.solve_target.n == target.n
+        assert rec.solve_target.degree == target.degree
+        assert _terms_bits(rec.solve_target) == _terms_bits(target)
+        lifts += rec.lifted
+    # two lifted kinds per cli-cold round, the odd mixed degrees of
+    # _homogenize_cases and the two above
+    assert lifts == 2 * 3 + 8 + 2
+
+
+def _never_pad(*args, **kwargs):
+    raise AssertionError("canonicalize must not pad")
+
+
+def test_canonicalize_validates_before_padding(monkeypatch):
+    # the shape is known from the cleaned terms alone; padding, and its
+    # overflow, wait for the first read of the padded polynomial
+    monkeypatch.setattr(reduction, "multiply_r2", _never_pad)
+    rec = canonicalize(2, {(2, 0): 1e308, (0, 0): 1e308, (0, 2): 0.0})
+    assert rec.terms == {(2, 0): 1e308, (0, 0): 1e308}
+    assert (rec.n, rec.degree, rec.solve_n, rec.a) == (2, 2, 2, 1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="finite"):
+        rec.solve_target
+    odd = canonicalize(3, {(0, 0, 3): 1.0, (1, 0, 0): 2.0})
+    assert (odd.degree, odd.solve_n, odd.a, odd.lifted) == (3, 4, 2, True)
+    assert odd.solve_target is odd.solve_target
+    assert odd.original is odd.original
+

@@ -12,7 +12,8 @@ from scipy.linalg.lapack import dtrtrs
 import sphereopt.sdp as sdp_module
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
-from sphereopt.polymat import _pair_maps, evaluate, homo_poly, vector_to_poly
+from sphereopt.polymat import (_pair_maps, _schur_layout, evaluate, homo_poly,
+                               vector_to_poly)
 from sphereopt.sdp import (SCHUR_COPIES, ResourceGuardError, SolverError,
                            STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation, check_level,
@@ -229,6 +230,39 @@ def test_schur_matrix_chunks_match_direct_contraction(monkeypatch):
     scale = np.sqrt(np.outer(np.diag(direct), np.diag(direct)))
     assert scale.max() / scale.min() > 1e5
     assert np.all(np.abs(S - direct) <= 1e-13 * scale)
+
+
+def test_problems_of_one_shape_share_the_schur_layout(monkeypatch):
+    # the class-sorted layout depends on (n, level) alone: two objectives
+    # of one shape get the very same read-only arrays
+    layouts = []
+
+    def spy(n, level):
+        layouts.append(_schur_layout(n, level))
+        return layouts[-1]
+
+    monkeypatch.setattr(sdp_module, "_schur_layout", spy)
+    first = build_relaxation(_random_poly(3, 4, 8), 3)
+    second = build_relaxation(_random_poly(3, 2, 9), 3)
+    other = build_relaxation(_random_poly(4, 4, 8), 3)
+    Y = np.eye(first.p)
+    _schur_matrix(first, Y)
+    _schur_matrix(second, Y)
+    _schur_matrix(other, np.eye(other.p))
+    assert len(layouts) == 3
+    assert all(a is b for a, b in zip(layouts[0], layouts[1]))
+    assert not any(a is c for a, c in zip(layouts[0], layouts[2]))
+    order, bounds, counts, rows, cols, weights = layouts[0]
+    assert not any(arr.flags.writeable for arr in layouts[0])
+    # the layout is the stable class sort of the pair maps
+    KK, WW, _ = _pair_maps(3, 3)
+    assert np.array_equal(order, np.argsort(KK.ravel(), kind="stable"))
+    assert bounds[0] == 0 and bounds[-1] == first.p ** 2
+    assert len(bounds) == first.q + 1
+    assert np.array_equal(counts, np.diff(bounds)) and counts.min() >= 1
+    assert np.array_equal(KK[rows, cols], np.repeat(np.arange(first.q),
+                                                    counts))
+    assert np.array_equal(weights, WW[rows, cols])
 
 
 def _dense_basis_schur(problem, Y):
