@@ -43,6 +43,9 @@ this problem class:
   columns of Y, which leaves one dense product per class: q p^3 flops,
   streamed in cache-sized blocks of classes, bitwise equal to the
   product with the dense B_k;
+* a solve holds one q x q array: S is assembled, symmetrized,
+  equilibrated and factored in place in a single workspace, with the
+  bits of the out-of-place expressions;
 * the trace constraint is kept as an explicit equality and eliminated
   through the Schur solve.
 
@@ -119,10 +122,14 @@ dpotrf, dpotrs, dtrtrs = _lapack_routines()
 DEFAULT_MAX_P = 512
 DEFAULT_MIN_COND_RATIO = 5e-6
 
-# q x q float64 matrices one solve holds at its peak: the Schur matrix, its
-# equilibrated copy and their Cholesky factor in _factor_schur, while
-# solve_sdp still holds the previous iteration's factor.
-SCHUR_COPIES = 4
+# q x q float64 matrices one solve holds at its peak: the workspace that
+# keeps the Schur matrix in one triangle and its Cholesky factor in the
+# other.
+SCHUR_COPIES = 1
+
+# Entries per band of rows the in-place passes over the q x q workspace
+# copy out at a time (512 KB).
+BAND_ENTRIES = 2**16
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -248,8 +255,8 @@ def check_level(n, level, max_p=None):
 
     The matrix side p = C(level + n - 1, level) must stay within the size
     guard ``max_p`` (:func:`resolve_max_p`, default ``DEFAULT_MAX_P``); the
-    ``SCHUR_COPIES`` dense q x q matrices of the solve,
-    q = C(2 level + n - 1, 2 level), must fit in physical memory; and the
+    solve's dense q x q Schur workspace, q = C(2 level + n - 1, 2 level),
+    must fit in physical memory; and the
     moment-body conditioning must stay above ``DEFAULT_MIN_COND_RATIO``,
     the floor where double precision still solves reliably (in practice
     n = 2 stops at level 20 and n = 3 at level 19, while for n >= 4 the
@@ -267,10 +274,9 @@ def check_level(n, level, max_p=None):
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise ResourceGuardError(
-            f"level {level} needs {SCHUR_COPIES} matrices of side {q} for "
-            f"its Schur solve ({need / 2**30:.1f} GiB), above the "
-            f"{memory / 2**30:.1f} GiB of physical memory; choose a lower "
-            f"level")
+            f"level {level} needs a Schur workspace of side {q} "
+            f"({need / 2**30:.1f} GiB), above the {memory / 2**30:.1f} GiB "
+            f"of physical memory; choose a lower level")
     ratio = uniform_conditioning(n, level)
     if ratio < DEFAULT_MIN_COND_RATIO:
         raise ResourceGuardError(
@@ -358,7 +364,7 @@ def _max_steps(d, dxh, dzh):
     return tuple(np.inf if v >= -1e-14 else 1.0 / (-v) for v in lo)
 
 
-def _schur_matrix(problem, Y):
+def _schur_matrix(problem, Y, out=None):
     """Dense Schur complement S[k, m] = tr(B_k Y B_m Y), streamed.
 
     Column j of B_k holds at most one nonzero, w_ij at the row i whose
@@ -368,18 +374,19 @@ def _schur_matrix(problem, Y):
     the dense product on any BLAS; the one dense product per class,
     (Y B_k) Y, the class-wise reduction of its weighted entries and the
     final symmetrization are those of the dense formulation, so S does not
-    change in a single bit.  Classes stream in blocks of at most 2^16
-    p x p entries (512 KB per buffer) to keep the working set in cache;
-    the assembly costs q p^3 flops.  The class-sorted entries, their
-    segment bounds and counts come from ``polymat._schur_layout``, built
-    once per (n, level).
+    change in a single bit.  Classes stream in blocks of at most
+    ``BAND_ENTRIES`` p x p entries to keep the working set in cache; the
+    assembly costs q p^3 flops.  The class-sorted entries, their segment
+    bounds and counts come from ``polymat._schur_layout``, built once per
+    (n, level).  S is written into ``out`` (a C-contiguous q x q array)
+    when given, else into a new array, and symmetrized there.
     """
     p, q = problem.p, problem.q
     order, bounds, counts, rows, cols, weights = _schur_layout(problem.n,
                                                                problem.ell)
     starts = bounds[:-1]
-    block = max(1, min(q, 2**16 // (p * p)))
-    S = np.empty((q, q))
+    block = max(1, min(q, BAND_ENTRIES // (p * p)))
+    S = np.empty((q, q)) if out is None else out
     for k0 in range(0, q, block):
         k1 = min(k0 + block, q)
         nc = k1 - k0
@@ -390,36 +397,87 @@ def _schur_matrix(problem, Y):
         G = np.matmul(YB, Y).reshape(nc, p * p).take(order, axis=1)
         G *= weights
         S[k0:k1, :] = np.add.reduceat(G, starts, axis=1)
-    return (S + S.T) / 2.0
+    _symmetrize(S)
+    return S
+
+
+def _bands(q):
+    """Row bands [i0, i1) of a q x q array, about ``BAND_ENTRIES`` each."""
+    band = max(1, BAND_ENTRIES // q)
+    return [(i0, min(i0 + band, q)) for i0 in range(0, q, band)]
+
+
+def _symmetrize(S):
+    """S <- (S + S.T) / 2 in place, one band of rows at a time.
+
+    Band [i0, i1) averages the entries (i, j), j < i1, with their mirror
+    images; later bands read none of the entries it writes.  The sum
+    commutes, so both mirror entries get the bits of ``(S + S.T) / 2``.
+    """
+    for i0, i1 in _bands(len(S)):
+        T = S[i0:i1, :i1] + S[:i1, i0:i1].T
+        T /= 2.0
+        S[i0:i1, :i1] = T
+        S[:i1, i0:i1] = T.T
+
+
+def _equilibrate(S, scale, diagonal):
+    """Write the equilibrated matrix over the upper triangle of S.
+
+    Entry (j, i), j < i, becomes (S[i, j] scale_i) scale_j, read from the
+    strict lower triangle, which keeps the unscaled matrix; the diagonal
+    becomes ``diagonal``.  Over i >= j these are the bits of
+    ``S * scale[:, None] * scale``, and the upper triangle of S is the
+    lower triangle of the Fortran-ordered ``S.T``.
+    """
+    for i0, i1 in _bands(len(S)):
+        T = S[i0:i1, :i1] * scale[i0:i1, None]
+        T *= scale[:i1]
+        S[:i0, i0:i1] = T[:, :i0].T
+        np.copyto(S[i0:i1, i0:i1], T[:, i0:i1].T,
+                  where=~np.tri(i1 - i0, dtype=bool))
+    np.einsum("ii->i", S)[:] = diagonal
 
 
 def _factor_schur(S):
-    """Cholesky of the Schur matrix after symmetric equilibration.
+    """Cholesky of the Schur matrix after symmetric equilibration, in place.
 
     The Schur complement grows extremely ill conditioned near the optimum;
     scaling to unit diagonal plus a relative shift ladder keeps the
-    factorization alive without distorting well conditioned directions.
-    The factor is LAPACK ``dpotrf`` (lower, upper triangle left as is) and
-    each solve ``dpotrs``: the calls ``cho_factor`` and ``cho_solve`` make.
-    Their finiteness checks stay, as explicit ones on the equilibrated
-    matrix, the factor and each right-hand side, since ``dpotrf`` only
-    tests its pivots and a NaN passes that test.  A nonzero ``dpotrf``
-    info steps the shift ladder.  Returns a solver closure, or None when
-    every shift fails; a non-finite array raises ValueError.
+    factorization alive without distorting well conditioned directions.  S
+    (C-contiguous, symmetric; only its lower triangle and diagonal are
+    read) is overwritten: its strict lower triangle keeps the unscaled
+    matrix, while the equilibrated matrix and then its factor take the
+    upper triangle, which is the lower triangle of the Fortran-ordered
+    ``S.T``.  The factor is LAPACK ``dpotrf`` on ``S.T`` (lower, other
+    triangle left as is, no copy) and each solve ``dpotrs`` on it: the
+    calls ``cho_factor`` and ``cho_solve`` make on the equilibrated matrix,
+    with its bits.  Their finiteness checks stay, as explicit ones on the
+    equilibrated matrix, the factor and each right-hand side, since
+    ``dpotrf`` only tests its pivots and a NaN passes that test.  A nonzero
+    ``dpotrf`` info steps the shift ladder: the equilibrated triangle is
+    rebuilt from the kept one, and the saved diagonal takes the ladder's
+    cumulative shifts in their order.  Returns a solver closure, or None
+    when every shift fails; a non-finite array raises ValueError.
     """
     dg = S.diagonal().copy()
     if not np.isfinite(dg).all() or (dg <= 0.0).any():
         return None
     scale = 1.0 / np.sqrt(dg)
-    Se = S * scale[:, None]
-    Se *= scale
-    _check_finite(Se)
-    diagonal = np.einsum("ii->i", Se)  # a writeable view
+    diagonal = dg * scale
+    diagonal *= scale
+    _equilibrate(S, scale, diagonal)
+    # a non-finite entry of the kept triangle scales to a non-finite one,
+    # so this checks the equilibrated matrix
+    _check_finite(S)
     applied = 0.0
     for shift in (0.0, 1e-14, 1e-10, 1e-6):
-        diagonal += shift - applied
-        applied = shift
-        factor, info = dpotrf(Se, lower=1, clean=0)
+        if shift != applied:
+            # rebuild what the failed dpotrf overwrote, shifted
+            diagonal += shift - applied
+            applied = shift
+            _equilibrate(S, scale, diagonal)
+        factor, info = dpotrf(S.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             continue
         _check_finite(factor)
@@ -475,6 +533,8 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
     iterations = 0
     eye_p = np.eye(p)
     gamma = 0.99
+    # the Schur workspace: each iteration assembles, then factors S in it
+    W = np.empty((problem.q, problem.q))
 
     for _ in range(max_iterations):
         obj = float(c @ y)
@@ -506,7 +566,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
         H = np.sqrt(d)[:, None] * (Vt @ Linv)
         Y = H.T @ H
 
-        solve_schur = _factor_schur(_schur_matrix(problem, Y))
+        solve_schur = _factor_schur(_schur_matrix(problem, Y, W))
         if solve_schur is None:
             status = STATUS_NUMERICAL_FAILURE
             break

@@ -183,8 +183,11 @@ def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
     assert choose_level(3, 1, 512) == 1
 
 
-def test_choose_level_builds_no_matrices():
+def test_choose_level_builds_no_matrices(monkeypatch):
     assert sdp.DEFAULT_MIN_COND_RATIO == 5e-6
+    # level 19 needs a 10660 x 10660 Schur workspace; with the memory guard
+    # off, the size guard and the conditioning floor alone set the top
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
     polymat._pair_maps.cache_clear()
     assert choose_level(4, 2, 2000) == 19
     assert polymat._pair_maps.cache_info().currsize == 0
@@ -420,9 +423,10 @@ def test_schur_memory_guard_exits_before_any_work(monkeypatch):
     assert code == EXIT_RESOURCE
     assert out == ""
     assert "level 16" in err and "physical memory" in err
-    # the automatic climb stops at the deepest level that fits: level 12
-    # has q = C(28, 4) = 20475, level 13 has q = 27405
-    assert choose_level(5, 2, 5000) == 12
+    # the automatic climb stops at the deepest level that fits: level 14
+    # has q = C(32, 4) = 35960, level 15 has q = C(34, 4) = 46376, which
+    # needs 17.2 GB
+    assert choose_level(5, 2, 5000) == 14
     monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
     assert choose_level(5, 2, 5000) == 16
 
@@ -781,8 +785,8 @@ NON_FINITE = "sphereopt: array must not contain infs or NaNs\n"
 def test_non_finite_schur_matrix_exits_3_without_output(monkeypatch):
     real = sdp._schur_matrix
 
-    def poisoned(problem, Y):
-        S = real(problem, Y)
+    def poisoned(problem, Y, out):
+        S = real(problem, Y, out)
         S[0, 1] = S[1, 0] = np.nan  # off the diagonal
         return S
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,9 +107,11 @@ def test_conditioning_guard(monkeypatch):
 
 
 def test_schur_memory_guard(monkeypatch):
-    # level 16 in five variables: q = C(36, 4) = 58905, 103 GiB in 4 copies
+    # level 16 in five variables: q = C(36, 4) = 58905, 25.9 GiB in one
+    # matrix
     q = sym_dimension(5, 32)
     need = SCHUR_COPIES * 8 * q * q
+    assert SCHUR_COPIES == 1
     monkeypatch.setattr(sdp_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(ResourceGuardError, match="physical memory"):
         check_level(5, 16, 5000)
@@ -213,9 +216,9 @@ def test_schur_matrix_chunks_match_direct_contraction(monkeypatch):
     prob = build_relaxation(_random_poly(3, 4, 7), 15)
     seen = []
 
-    def spy(problem, Y):
+    def spy(problem, Y, out):
         seen.append(Y)
-        return _schur_matrix(problem, Y)
+        return _schur_matrix(problem, Y, out)
 
     # the scaling of a few solver iterations spreads diag(S) over decades
     monkeypatch.setattr(sdp_module, "_schur_matrix", spy)
@@ -307,9 +310,9 @@ def test_schur_matrix_bitwise_equals_dense_basis_assembly(monkeypatch, n,
     prob = build_relaxation(_random_poly(n, degree, 7), level)
     seen = []
 
-    def spy(problem, Y):
+    def spy(problem, Y, out):
         seen.append(Y)
-        return _schur_matrix(problem, Y)
+        return _schur_matrix(problem, Y, out)
 
     monkeypatch.setattr(sdp_module, "_schur_matrix", spy)
     solve_sdp(prob)
@@ -341,9 +344,10 @@ def _solve_spied(monkeypatch, n, level):
     # the Schur matrices and the dtrtrs calls of one solve
     schur, triangular = [], []
 
-    def schur_spy(problem, Y):
-        S = _schur_matrix(problem, Y)
-        schur.append(S)
+    def schur_spy(problem, Y, out):
+        # the solve factors S in place, so keep a copy
+        S = _schur_matrix(problem, Y, out)
+        schur.append(S.copy())
         return S
 
     def trtrs_spy(a, b, **kwargs):
@@ -374,11 +378,14 @@ def test_lapack_calls_bitwise_equal_scipy_wrappers(monkeypatch, n, level,
         Se = S * scale[:, None]
         Se *= scale
         assert np.array_equal(Se, S * scale[:, None] * scale[None, :])
-        solve = _factor_schur(S)
+        W = S.copy()
+        solve = _factor_schur(W)
         reference, shift = _wrapper_factor_schur(S)
         steps += shift > 0.0
         for rhs in (prob.tau, rng.standard_normal(prob.q)):
             assert np.array_equal(solve(rhs), reference(rhs))
+        # the unscaled matrix stays in the strict lower triangle
+        assert np.array_equal(np.tril(W, -1), np.tril(S, -1))
     assert steps >= min_steps
     assert len(triangular) == len(schur)
     for a, b, Linv in triangular:
@@ -386,23 +393,96 @@ def test_lapack_calls_bitwise_equal_scipy_wrappers(monkeypatch, n, level,
         assert np.array_equal(Linv, solve_triangular(a.T, b, lower=True))
 
 
-def test_lapack_shift_ladder_steps_bitwise_like_the_wrappers():
-    # smallest eigenvalue -1e-12 on a diagonal near 1.5: the equilibrated
-    # matrix fails at shifts 0 and 1e-14
+def _ladder_case(lam, expected):
+    # smallest eigenvalue lam on a diagonal near 1.5: the equilibrated
+    # matrix fails at every shift below the expected one, and each failed
+    # dpotrf has overwritten part of the equilibrated triangle, which the
+    # next step rebuilds
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     w = np.linspace(1.0, 2.0, 40)
-    w[0] = -1e-12
+    w[0] = lam
     S = (Q * w) @ Q.T
     S = (S + S.T) / 2.0
-    solve = _factor_schur(S)
+    W = S.copy()
+    solve = _factor_schur(W)
     reference, shift = _wrapper_factor_schur(S)
-    assert shift == 1e-10
+    assert shift == expected
     rhs = rng.standard_normal(40)
     assert np.array_equal(solve(rhs), reference(rhs))
+    assert np.array_equal(np.tril(W, -1), np.tril(S, -1))
+    return S
+
+
+def test_lapack_shift_ladder_steps_bitwise_like_the_wrappers():
+    # fails at shifts 0 and 1e-14: the triangle is rebuilt twice
+    S = _ladder_case(-1e-12, 1e-10)
     # indefinite beyond the last shift: no factor either way
     assert _factor_schur(S - 0.1 * np.eye(40)) is None
     assert _wrapper_factor_schur(S - 0.1 * np.eye(40)) == (None, None)
+
+
+def test_lapack_shift_ladder_reaches_the_last_shift_bitwise():
+    # fails at shifts 0, 1e-14 and 1e-10: rebuilt three times
+    _ladder_case(-1e-8, 1e-6)
+
+
+@pytest.mark.parametrize("q, band_entries", [(7, 2**16), (40, 2**16),
+                                             (41, 1), (41, 82), (715, 2**16)])
+def test_in_place_symmetrize_and_equilibrate_bitwise(monkeypatch, q,
+                                                     band_entries):
+    # one band, bands of one row, of two rows and of 91 rows (the last two
+    # ragged) against the out-of-place expressions of the dense formulation
+    monkeypatch.setattr(sdp_module, "BAND_ENTRIES", band_entries)
+    rng = np.random.default_rng(q)
+    A = rng.standard_normal((q, q)) * np.exp(rng.uniform(-20, 20, (q, q)))
+    S = (A + A.T) / 2.0
+    W = A.copy()
+    sdp_module._symmetrize(W)
+    assert np.array_equal(W, S)
+    dg = np.abs(np.diag(S)) + 1.0
+    np.einsum("ii->i", S)[:] = dg
+    np.einsum("ii->i", W)[:] = dg
+    scale = 1.0 / np.sqrt(dg)
+    Se = S * scale[:, None]
+    Se *= scale
+    sdp_module._equilibrate(W, scale, np.diag(Se) + 1e-14)
+    np.einsum("ii->i", Se)[:] += 1e-14
+    # dpotrf(lower) reads Se over i >= j, which W holds transposed
+    assert np.array_equal(np.triu(W), np.tril(Se).T)
+    assert np.array_equal(np.tril(W, -1), np.tril(S, -1))
+
+
+def test_factor_schur_factors_in_place_bitwise():
+    # dpotrf works on the argument's memory: the upper triangle of W is
+    # the transposed factor of the equilibrated matrix
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((60, 60))
+    S = A @ A.T + np.eye(60)
+    S = (S + S.T) / 2.0
+    W = S.copy()
+    assert _factor_schur(W) is not None
+    scale = 1.0 / np.sqrt(np.diag(S))
+    reference = cho_factor(S * scale[:, None] * scale[None, :],
+                           lower=True)[0]
+    assert np.array_equal(np.triu(W).T, np.tril(reference))
+    assert np.array_equal(np.tril(W, -1), np.tril(S, -1))
+
+
+def test_solve_holds_one_schur_matrix():
+    # n = 10 at level 2: q = 715, one q x q matrix is 4.1 MB; assembling,
+    # symmetrizing, equilibrating and factoring S all happen in it
+    prob = build_relaxation(_random_poly(10, 4, 1), 2)
+    q = prob.q
+    assert q == 715
+    tracemalloc.start()
+    try:
+        solution = solve_sdp(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.status == STATUS_OPTIMAL
+    assert peak < 2 * 8 * q * q
 
 
 @pytest.mark.parametrize("p", [6, 55, 136])
@@ -424,11 +504,23 @@ def test_max_steps_bitwise_equal_one_matrix_at_a_time(p):
     assert _max_steps(d, np.eye(p), -np.eye(p))[0] == np.inf
 
 
-def test_factor_schur_keeps_the_wrappers_finiteness_checks():
-    S = np.eye(4) + 0.1
-    S[0, 2] = np.nan  # off the diagonal: dpotrf alone would factor it
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        _factor_schur(S)
+def test_factor_schur_keeps_the_wrappers_finiteness_checks(monkeypatch):
+    # _factor_schur reads the lower triangle of the symmetric Schur matrix;
+    # the equilibrated matrix is checked before it is factored, as the
+    # wrappers check it (a LAPACK that tests pivots for NaN would otherwise
+    # step the ladder and return None)
+    def refuse(*args, **kwargs):
+        raise AssertionError("dpotrf called on a non-finite matrix")
+
+    for entries in (((0, 2), (2, 0)), ((2, 0),)):
+        S = np.eye(4) + 0.1
+        for ij in entries:
+            S[ij] = np.nan  # off the diagonal: dpotrf alone would factor it
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp_module, "dpotrf", refuse)
+            with pytest.raises(ValueError,
+                               match="must not contain infs or NaNs"):
+                _factor_schur(S)
     solve = _factor_schur(np.eye(4) + 0.1)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         solve(np.array([1.0, np.inf, 0.0, 0.0]))
