@@ -8,7 +8,9 @@ adaptive shift 1/eta (SS-HOPM, Kolda & Mayo 2011).  Each step length is
 remembered between steps, grown after an improvement and halved after a
 failure.  All restarts advance in lock step as one batch; the value
 returned is T at the best point found, a lower estimate of the true
-maximum.
+maximum.  Restart r starts from normalized standard normal draws of the
+standard library's ``random.Random``, seeded by (seed, r) alone, so a call
+loads no ``numpy.random``.
 
 The CLI's automatic level also runs the ascent (:func:`polish`) from the
 candidate maximizers it reads off an optimal relaxation state.  T at any
@@ -19,6 +21,7 @@ the ascent.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +45,18 @@ class OracleResult:
     converged: bool
 
 
-def _restart_rng(seed, r):
-    return np.random.default_rng(np.random.SeedSequence([seed, r]))
-
-
 def _start_point(n, seed, r):
-    rng = _restart_rng(seed, r)
-    x = rng.standard_normal(n)
-    nrm = np.linalg.norm(x)
-    while nrm < 1e-12:
-        x = rng.standard_normal(n)
+    """Restart r's uniform start on the unit sphere in n variables.
+
+    Standard normal draws, normalized, from a ``random.Random`` seeded with
+    the text "seed,r": a stream of its own for each (seed, r).
+    """
+    gauss = random.Random(f"{seed},{r}").gauss
+    while True:
+        x = np.array([gauss(0.0, 1.0) for _ in range(n)])
         nrm = np.linalg.norm(x)
-    return x / nrm
+        if nrm >= 1e-12:
+            return x / nrm
 
 
 def _row_norms(X):
@@ -132,8 +135,9 @@ def polish(T, X):
 def sphere_maximize(T, restarts=32, seed=0):
     """Estimate max of T over the unit sphere by multistart tangent ascent.
 
-    Each restart draws a uniform starting point from its own child seed, and
-    every operation of the ascent acts on each restart on its own, so
+    Each restart draws a uniform starting point from its own stream of the
+    standard library's ``random.Random``, seeded by (seed, r), and every
+    operation of the ascent acts on each restart on its own, so
     restart r's trajectory is a function of (T, seed, r) alone, bit for bit,
     whatever the restart count.  The ascent runs on T times the power of two
     that brings its coefficients' l1 norm into [1/2, 1), which is exact:

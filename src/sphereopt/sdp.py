@@ -126,6 +126,9 @@ DEFAULT_MIN_COND_RATIO = 5e-6
 # keeps the Schur matrix in one triangle and its Cholesky factor in the
 # other.
 SCHUR_COPIES = 1
+# The largest share of physical memory those copies may take: the rest is
+# left for the assembly blocks, Python, numpy and other processes.
+SCHUR_MEMORY_FRACTION = 0.5
 
 # Entries per band of rows the in-place passes over the q x q workspace
 # copy out at a time (512 KB).
@@ -256,8 +259,8 @@ def check_level(n, level, max_p=None):
     The matrix side p = C(level + n - 1, level) must stay within the size
     guard ``max_p`` (:func:`resolve_max_p`, default ``DEFAULT_MAX_P``); the
     solve's dense q x q Schur workspace, q = C(2 level + n - 1, 2 level),
-    must fit in physical memory; and the
-    moment-body conditioning must stay above ``DEFAULT_MIN_COND_RATIO``,
+    must fit in ``SCHUR_MEMORY_FRACTION`` (half) of physical memory; and
+    the moment-body conditioning must stay above ``DEFAULT_MIN_COND_RATIO``,
     the floor where double precision still solves reliably (in practice
     n = 2 stops at level 20 and n = 3 at level 19, while for n >= 4 the
     size guard binds first).  The result depends on (n, level, max_p) and
@@ -272,11 +275,12 @@ def check_level(n, level, max_p=None):
     q = sym_dimension(n, 2 * level)
     need = SCHUR_COPIES * 8 * q * q
     memory = _physical_memory()
-    if memory is not None and need > memory:
+    if memory is not None and need > SCHUR_MEMORY_FRACTION * memory:
         raise ResourceGuardError(
             f"level {level} needs a Schur workspace of side {q} "
-            f"({need / 2**30:.1f} GiB), above the {memory / 2**30:.1f} GiB "
-            f"of physical memory; choose a lower level")
+            f"({need / 2**30:.1f} GiB), above {SCHUR_MEMORY_FRACTION:.0%} of "
+            f"the {memory / 2**30:.1f} GiB of physical memory; choose a "
+            f"lower level")
     ratio = uniform_conditioning(n, level)
     if ratio < DEFAULT_MIN_COND_RATIO:
         raise ResourceGuardError(

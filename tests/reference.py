@@ -45,7 +45,7 @@ from sphereopt.harmonics import (_moment_cached, lambda_coeff, moment_table,
                                  sphere_moment_vector, surface_area)
 from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
                                   sym_dimension)
-from sphereopt.oracle import OracleResult, _restart_rng, sphere_maximize
+from sphereopt.oracle import OracleResult, _start_point, sphere_maximize
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
                                _pair_maps, _vec_scale, evaluate, gradient,
                                homo_poly, multiply_r2, poly_to_vector,
@@ -451,7 +451,7 @@ def sequential_sphere_maximize(T, restarts=32, max_iterations=500,
                                initial_step=0.1, seed=0):
     """Estimate max of T over the unit sphere by multistart projected ascent.
 
-    Each restart draws a uniform starting point from its own child seed (so
+    Each restart starts from the oracle's start point for (seed, r) (so
     results for a given restart index never depend on the total restart
     count), then iterates x <- normalize(x + eta grad T), halving eta from
     ``initial_step`` until the objective improves.  A restart stops when no
@@ -465,13 +465,7 @@ def sequential_sphere_maximize(T, restarts=32, max_iterations=500,
     best_x = None
     best_conv = False
     for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        x = rng.standard_normal(T.n)
-        nrm = np.linalg.norm(x)
-        while nrm < 1e-12:
-            x = rng.standard_normal(T.n)
-            nrm = np.linalg.norm(x)
-        x = x / nrm
+        x = _start_point(T.n, seed, r)
         fx = evaluate(T, x)
         converged = False
         for _ in range(max_iterations):
@@ -592,7 +586,7 @@ def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8,
     cat = basis_catalog(M.n, 2 * a)
     best = 0.0
     for r in range(trials):
-        rng = _restart_rng(seed, r)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         w = rng.standard_normal(len(cat))
         F = vector_to_poly(M.n, 2 * a, w)
         hi = sphere_maximize(F, restarts=restarts, seed=seed).value

@@ -423,10 +423,10 @@ def test_schur_memory_guard_exits_before_any_work(monkeypatch):
     assert code == EXIT_RESOURCE
     assert out == ""
     assert "level 16" in err and "physical memory" in err
-    # the automatic climb stops at the deepest level that fits: level 14
-    # has q = C(32, 4) = 35960, level 15 has q = C(34, 4) = 46376, which
-    # needs 17.2 GB
-    assert choose_level(5, 2, 5000) == 14
+    # the automatic climb stops at the deepest level that fits in half of
+    # it: level 13 has q = C(30, 4) = 27405 (6.0 GB), level 14 has
+    # q = C(32, 4) = 35960, which needs 10.3 GB
+    assert choose_level(5, 2, 5000) == 13
     monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
     assert choose_level(5, 2, 5000) == 16
 

@@ -62,8 +62,12 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
 
 
 # modules that importing scipy.linalg pulls in; the LAPACK routines are
-# loaded without it, and nothing on the CLI path may import it later
-SCIPY_LINALG_ONLY = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+# loaded without it, and nothing on the CLI path may import it later.
+# numpy.random, and OpenSSL's hashlib behind its bit generators, cost a
+# cold --oracle call 6 MB of peak RSS; the oracle draws its start points
+# from the standard library's random instead.
+COLD_CALL_UNLOADED = ("scipy.linalg", "numpy.f2py", "numpy.testing",
+                      "numpy.random", "_hashlib", "hmac", "secrets")
 
 
 def test_cold_cli_call_leaves_scipy_linalg_unloaded():
@@ -75,7 +79,7 @@ def test_cold_cli_call_leaves_scipy_linalg_unloaded():
         "    code = cli.main(['--poly', 'x1^4 + x2^4 - 3*x1^2*x2^2',\n"
         "                     '--certificate', '--oracle', '--format', 'json'])\n"
         "assert code == 0 and json.loads(out.getvalue())['certificate']\n"
-        f"print(sorted(set({SCIPY_LINALG_ONLY!r}) & set(sys.modules)))\n")
+        f"print(sorted(set({COLD_CALL_UNLOADED!r}) & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     got = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)

@@ -63,6 +63,32 @@ def test_sphere_maximize_deterministic_and_prefix_stable():
     assert c.value >= a.value
 
 
+def test_sphere_maximize_prefix_stable_across_a_batch():
+    # restarts 0-31 fill the first batch of CHUNK; 33 and 64 add a second.
+    # Each count finds the best of the first k rows of one 64-row ascent.
+    assert oracle.CHUNK == 32
+    T = _random_poly(3, 6, 21)
+    unit = T.scaled(oracle._unit_scale(T))
+    X, fx, _ = oracle._ascend(
+        unit, [oracle._start_point(3, 2, r) for r in range(64)])
+    values = []
+    for k in (32, 33, 64):
+        res = sphere_maximize(T, restarts=k, seed=2)
+        assert np.array_equal(res.argmax, X[np.argmax(fx[:k])])
+        values.append(res.value)
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_start_point_is_a_unit_vector_of_its_own_stream(n):
+    x = oracle._start_point(n, 3, 7)
+    assert x.shape == (n,)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(oracle._start_point(n, 3, 7), x)
+    for seed, r in ((3, 8), (4, 7), (7, 3), (37, 0), (0, 37)):
+        assert not np.array_equal(oracle._start_point(n, seed, r), x)
+
+
 def test_sphere_maximize_validates_restarts():
     T = r2k_poly(2, 1)
     with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (_pair_maps, _schur_layout, evaluate, homo_poly,
                                vector_to_poly)
-from sphereopt.sdp import (SCHUR_COPIES, ResourceGuardError, SolverError,
+from sphereopt.sdp import (SCHUR_COPIES, SCHUR_MEMORY_FRACTION,
+                           ResourceGuardError, SolverError,
                            STATUS_MAX_ITERATIONS,
                            STATUS_OPTIMAL, build_relaxation, check_level,
                            extract_sos_certificate, resolve_max_p, solve_sdp,
@@ -108,14 +109,16 @@ def test_conditioning_guard(monkeypatch):
 
 def test_schur_memory_guard(monkeypatch):
     # level 16 in five variables: q = C(36, 4) = 58905, 25.9 GiB in one
-    # matrix
+    # matrix, admitted with at least twice that much physical memory
     q = sym_dimension(5, 32)
     need = SCHUR_COPIES * 8 * q * q
-    assert SCHUR_COPIES == 1
-    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ResourceGuardError, match="physical memory"):
+    assert SCHUR_COPIES == 1 and SCHUR_MEMORY_FRACTION == 0.5
+    monkeypatch.setattr(sdp_module, "_physical_memory",
+                        lambda: 2 * need - 1)
+    with pytest.raises(ResourceGuardError,
+                       match="50% of the .* physical memory"):
         check_level(5, 16, 5000)
-    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: need)
+    monkeypatch.setattr(sdp_module, "_physical_memory", lambda: 2 * need)
     check_level(5, 16, 5000)
     # where the platform does not report its memory, the guard is skipped
     monkeypatch.setattr(sdp_module, "_physical_memory", lambda: None)
