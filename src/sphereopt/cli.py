@@ -41,9 +41,9 @@ from .definetti import candidate_points, solve_and_report
 from .oracle import polish, sphere_maximize
 from .polymat import evaluate
 from .reduction import canonicalize, pullback_bounds, pullback_points
-from .sdp import (ResourceGuardError, SolverError, STATUS_OPTIMAL,
-                  build_relaxation, check_level, check_solve_options,
-                  extract_sos_certificate, resolve_max_p)
+from .sdp import (DEFAULT_MAX_ITERATIONS, ResourceGuardError, SolverError,
+                  STATUS_OPTIMAL, build_relaxation, check_level,
+                  check_solve_options, extract_sos_certificate, resolve_max_p)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -253,8 +253,10 @@ def _build_parser():
                              "(default: automatic)")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="solver duality-gap tolerance (default 1e-8)")
-    parser.add_argument("--max-iterations", type=int, default=120,
-                        help="interior-point iteration budget (default 120)")
+    parser.add_argument("--max-iterations", type=int,
+                        default=DEFAULT_MAX_ITERATIONS,
+                        help="interior-point iteration budget (default "
+                             f"{DEFAULT_MAX_ITERATIONS})")
     parser.add_argument("--max-p", type=int, default=None,
                         help="matrix-side resource guard (default 512)")
     parser.add_argument("--oracle", action="store_true",

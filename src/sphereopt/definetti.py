@@ -46,7 +46,7 @@ import numpy as np
 
 from .harmonics import definetti_eps, lambda_coeff, surface_area
 from .polymat import MaxSymMatrix, _trace_gather, evaluate, poly_to_vector
-from .sdp import solve_sdp
+from .sdp import DEFAULT_MAX_ITERATIONS, solve_sdp
 
 
 def density_constant(n, level):
@@ -204,7 +204,8 @@ class BoundsReport:
         default=None, compare=False, repr=False)
 
 
-def solve_and_report(problem, tol=1e-8, max_iterations=100):
+def solve_and_report(problem, tol=1e-8,
+                     max_iterations=DEFAULT_MAX_ITERATIONS):
     """Solve a built relaxation and certify two-sided bounds.
 
     ``problem`` comes from :func:`sphereopt.sdp.build_relaxation`.  The

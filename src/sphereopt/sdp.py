@@ -121,13 +121,11 @@ dpotrf, dpotrs, dtrtrs = _lapack_routines()
 
 DEFAULT_MAX_P = 512
 DEFAULT_MIN_COND_RATIO = 5e-6
+DEFAULT_MAX_ITERATIONS = 120
 
-# q x q float64 matrices one solve holds at its peak: the workspace that
-# keeps the Schur matrix in one triangle and its Cholesky factor in the
-# other.
-SCHUR_COPIES = 1
-# The largest share of physical memory those copies may take: the rest is
-# left for the assembly blocks, Python, numpy and other processes.
+# The largest share of physical memory a solve's q x q Schur workspace may
+# take: the rest is left for the assembly blocks, Python, numpy and other
+# processes.
 SCHUR_MEMORY_FRACTION = 0.5
 
 # Entries per band of rows the in-place passes over the q x q workspace
@@ -273,7 +271,7 @@ def check_level(n, level, max_p=None):
             f"level {level} needs matrices of side {p}, above the guard "
             f"{cap}; raise max_p (--max-p) to override")
     q = sym_dimension(n, 2 * level)
-    need = SCHUR_COPIES * 8 * q * q
+    need = 8 * q * q
     memory = _physical_memory()
     if memory is not None and need > SCHUR_MEMORY_FRACTION * memory:
         raise ResourceGuardError(
@@ -510,14 +508,35 @@ def check_solve_options(tol, max_iterations):
                          f"{max_iterations}")
 
 
-def solve_sdp(problem, tol=1e-8, max_iterations=100):
+def _backtrack(candidate, alpha, current):
+    """Try fractions alpha, 0.7 alpha, 0.7^2 alpha, ... of one side's step.
+
+    ``candidate(alpha)`` returns that side's iterate, its last entry a
+    Cholesky factor or None.  Returns the first iterate with a factor and
+    its fraction, or ``current`` and 0.0 once a fraction below 1e-7 fails:
+    from alpha <= 1, at the 47th trial at the latest.
+    """
+    while True:
+        got = candidate(alpha)
+        if got[-1] is not None:
+            return got, alpha
+        if alpha < 1e-7:
+            return current, 0.0
+        alpha *= 0.7
+
+
+def solve_sdp(problem, tol=1e-8, max_iterations=DEFAULT_MAX_ITERATIONS):
     """Solve the relaxation to the requested duality-gap tolerance.
 
     Stops when tr(X Z) <= tol * max(1, |objective|) with feasibility
-    residuals at roundoff; statuses are "optimal", "max_iterations" (budget
-    exhausted, last iterate returned) and "numerical_failure" (factorization
-    or step-length breakdown, last iterate returned).  Reruns on identical
-    input produce bitwise-identical output.
+    residuals at roundoff.  Each side of a step, primal and dual, starts at
+    0.99 of its longest feasible fraction (at most 1) and shrinks by 0.7
+    until its candidate has a Cholesky factor; below 1e-7 it freezes.  If
+    both sides of the corrector freeze, a pure centering step is tried.
+    Statuses are "optimal", "max_iterations" (budget exhausted) and
+    "numerical_failure" (both sides of the centering step froze too, or
+    the Schur matrix has no factor); each returns the last iterate.
+    Reruns on identical input produce bitwise-identical output.
     """
     check_solve_options(tol, max_iterations)
     p = problem.p
@@ -533,19 +552,20 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
     # to accept them, and the next iteration scales with those factors
     Lx, Lz = _cholesky(X), _cholesky(Z)
 
-    status = STATUS_MAX_ITERATIONS
     iterations = 0
     eye_p = np.eye(p)
-    gamma = 0.99
     # the Schur workspace: each iteration assembles, then factors S in it
     W = np.empty((problem.q, problem.q))
 
-    for _ in range(max_iterations):
+    while True:
         obj = float(c @ y)
-        gap_xz = float(np.sum(X * Z))
         rp = float(tau @ y - 1.0)
         rd = problem.project(Z) - t * tau + c
         rd_norm = float(np.abs(rd).max())
+        if iterations == max_iterations:
+            status = STATUS_MAX_ITERATIONS
+            break
+        gap_xz = float(np.sum(X * Z))
         if (gap_xz <= tol * max(1.0, abs(obj))
                 and abs(rp) <= 1e-8 and rd_norm <= 1e-7 * c_scale):
             status = STATUS_OPTIMAL
@@ -578,72 +598,53 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
         sinv_tau = solve_schur(tau)
         denom = float(tau @ sinv_tau)
 
-        def newton(ehat):
-            rhs = problem.project(H.T @ ehat @ H) + rd
-            u = solve_schur(rhs)
+        def directions(ehat):
+            # The Newton step for the scaled target ehat.  The congruences
+            # with the ill-conditioned H, here and for dZ in attempt, leave
+            # roundoff-scale asymmetry that the triangle-reading
+            # factorizations would never see; symmetrize explicitly.  The
+            # predictor needs no dZ.
+            u = solve_schur(problem.project(H.T @ ehat @ H) + rd)
             dt = (float(tau @ u) + rp) / denom
             dy = u - dt * sinv_tau
-            return dy, dt
-
-        def directions(ehat):
-            # The congruences with the ill-conditioned H, here and for dZ
-            # in attempt, leave roundoff-scale asymmetry that the
-            # triangle-reading factorizations would never see; symmetrize
-            # explicitly.  The predictor needs no dZ.
-            dy, dt = newton(ehat)
             dxh = H @ problem.moment_matrix(dy) @ H.T
             dxh = (dxh + dxh.T) / 2.0
             return dy, dt, dxh, ehat - dxh
 
-        def attempt(ehat):
-            # Accept the longest positive-definite fractions of the step,
-            # shrinking the primal and dual sides independently: near the
-            # optimum the dual direction picks up congruence roundoff that
-            # kills definiteness at any length while the primal side is
-            # still fine, and vice versa.  Candidates are re-projected onto
-            # their equality constraints first (the structural basis is
-            # orthonormal, so subtracting the embedded dual residual
-            # restores A*(Z) = t tau - c exactly); a side that cannot move
-            # at all is frozen.  Returns the new iterate, each side with
-            # its Cholesky factor, or None.
-            dy, dt, dxh, dzh = directions(ehat)
+        def attempt(resid):
+            # The step rule of the docstring, for the target resid.  Near
+            # the optimum one side's direction can pick up congruence
+            # roundoff that kills definiteness at any length while the
+            # other's is still fine, hence the separate searches.
+            # Candidates are re-projected onto their equality constraints
+            # (the structural basis is orthonormal, so subtracting the
+            # embedded dual residual restores A*(Z) = t tau - c exactly).
+            # Returns the new iterate, each side with its factor, or None.
+            dy, dt, dxh, dzh = directions(
+                2.0 * resid / (d[:, None] + d[None, :]))
             dZ = H.T @ dzh @ H
             dZ = (dZ + dZ.T) / 2.0
-            ap, ad = (min(1.0, gamma * a) for a in _max_steps(d, dxh, dzh))
-            got_x = got_z = None
-            for _shrink in range(60):
-                if got_x is None:
-                    yc = y + ap * dy
-                    yc -= ((float(tau @ yc) - 1.0) / tau_nsq) * tau
-                    Xc = problem.moment_matrix(yc)
-                    Lc = _cholesky(Xc)
-                    if Lc is not None:
-                        got_x = (yc, Xc, Lc, ap)
-                    elif ap < 1e-7:
-                        got_x = (y, X, Lx, 0.0)
-                    else:
-                        ap *= 0.7
-                if got_z is None:
-                    tc = t + ad * dt
-                    Zc = Z + ad * dZ
-                    rdc = problem.project(Zc) - tc * tau + c
-                    Zc = Zc - problem.moment_matrix(rdc)
-                    Lc = _cholesky(Zc)
-                    if Lc is not None:
-                        got_z = (tc, Zc, Lc, ad)
-                    elif ad < 1e-7:
-                        got_z = (t, Z, Lz, 0.0)
-                    else:
-                        ad *= 0.7
-                if got_x is not None and got_z is not None:
-                    if got_x[3] == 0.0 and got_z[3] == 0.0:
-                        return None
-                    return got_x[:3] + got_z[:3]
-            return None
+            ap, ad = (min(1.0, 0.99 * a) for a in _max_steps(d, dxh, dzh))
+
+            def primal(alpha):
+                yc = y + alpha * dy
+                yc -= ((float(tau @ yc) - 1.0) / tau_nsq) * tau
+                Xc = problem.moment_matrix(yc)
+                return yc, Xc, _cholesky(Xc)
+
+            def dual(alpha):
+                tc = t + alpha * dt
+                Zc = Z + alpha * dZ
+                rdc = problem.project(Zc) - tc * tau + c
+                Zc = Zc - problem.moment_matrix(rdc)
+                return tc, Zc, _cholesky(Zc)
+
+            got_x, ap = _backtrack(primal, ap, (y, X, Lx))
+            got_z, ad = _backtrack(dual, ad, (t, Z, Lz))
+            return None if ap == ad == 0.0 else got_x + got_z
 
         # Predictor: aim at complementarity zero.
-        e_aff = -np.diag(d)
-        _, _, dxh_a, dzh_a = directions(e_aff)
+        _, _, dxh_a, dzh_a = directions(-np.diag(d))
         ap_a, ad_a = (min(1.0, a) for a in _max_steps(d, dxh_a, dzh_a))
 
         mu = gap_xz / p
@@ -651,29 +652,22 @@ def solve_sdp(problem, tol=1e-8, max_iterations=100):
         mu_aff = float(np.sum((D + ap_a * dxh_a) * (D + ad_a * dzh_a))) / p
         sigma = min(max(mu_aff / mu, 0.0) ** 3, 0.999)
 
-        # Corrector: recenter and take out the second-order cross term.
+        # Corrector: recenter and take out the second-order cross term;
+        # a pure centering step is the rescue.
         cross = 0.5 * (dxh_a @ dzh_a + dzh_a @ dxh_a)
-        resid = sigma * mu * eye_p - np.diag(d * d) - cross
-        accepted = attempt(2.0 * resid / (d[:, None] + d[None, :]))
-        if accepted is None:
-            # Pure centering step as a rescue before giving up.
-            resid = mu * eye_p - np.diag(d * d)
-            accepted = attempt(2.0 * resid / (d[:, None] + d[None, :]))
+        accepted = (attempt(sigma * mu * eye_p - np.diag(d * d) - cross)
+                    or attempt(mu * eye_p - np.diag(d * d)))
         if accepted is None:
             status = STATUS_NUMERICAL_FAILURE
             break
         y, X, Lx, t, Z, Lz = accepted
 
-    obj = float(c @ y)
-    rp = float(tau @ y - 1.0)
-    rd = problem.project(Z) - t * tau + c
     return SdpSolution(problem=problem, status=status, nu_ell=obj,
                        t_star=float(t),
                        M_star=MaxSymMatrix(problem.n, problem.ell, y.copy()),
                        Z_star=Z, duality_gap=abs(float(t) - obj),
                        iterations=iterations, tol=tol,
-                       primal_residual=abs(rp),
-                       dual_residual=float(np.abs(rd).max()))
+                       primal_residual=abs(rp), dual_residual=rd_norm)
 
 
 def extract_sos_certificate(solution):

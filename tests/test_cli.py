@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -521,6 +522,48 @@ def test_exit_code_when_budget_too_small():
     assert code == EXIT_SOLVER
     payload = json.loads(out)  # the partial result is still reported
     assert payload["status"] == "max_iterations"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_numerical_failure_at_an_explicit_level_exits_3_with_its_report(
+        monkeypatch, fmt):
+    # a Schur matrix with no factor at any shift ends the solve at its
+    # first iteration, at the start point
+    monkeypatch.setattr(sdp, "_factor_schur", lambda S: None)
+    code, out, err = _run(["--poly", "x1^2*x2^2 + 0.3*x1*x2^3", "--level",
+                           "2", "--format", fmt])
+    assert code == EXIT_SOLVER and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["status"] == "numerical_failure"
+        assert payload["iterations"] == 1 and payload["level"] == 2
+    else:
+        assert re.search(r"^status +numerical_failure \(1 iterations\)$",
+                         out, re.M)
+
+
+def test_automatic_climb_with_no_optimal_level_exits_3(monkeypatch):
+    monkeypatch.setattr(sdp, "_factor_schur", lambda S: None)
+    monkeypatch.setattr(cli, "candidate_points", _boom)
+    code, out, err = _run(["--poly", README_QUARTIC, "--n", "3",
+                           "--format", "json"])
+    assert code == EXIT_SOLVER and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "numerical_failure"
+    assert payload["levels_solved"] == [2]
+    assert payload["window_closed"] is False and payload["maximizer"] is None
+
+
+def test_one_iteration_budget_default():
+    budget = sdp.DEFAULT_MAX_ITERATIONS
+    assert budget == 120
+    for solve in (sdp.solve_sdp, definetti.solve_and_report):
+        assert inspect.signature(solve).parameters[
+            "max_iterations"].default == budget
+    option = next(action for action in cli._build_parser()._actions
+                  if action.dest == "max_iterations")
+    assert option.default == budget
+    assert option.help.endswith(f"(default {budget})")
 
 
 def test_exit_code_on_solver_exception(monkeypatch):

@@ -15,10 +15,10 @@ from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (_pair_maps, _schur_layout, evaluate, homo_poly,
                                vector_to_poly)
-from sphereopt.sdp import (SCHUR_COPIES, SCHUR_MEMORY_FRACTION,
-                           ResourceGuardError, SolverError,
-                           STATUS_MAX_ITERATIONS,
-                           STATUS_OPTIMAL, build_relaxation, check_level,
+from sphereopt.sdp import (SCHUR_MEMORY_FRACTION, ResourceGuardError,
+                           SolverError, STATUS_MAX_ITERATIONS,
+                           STATUS_NUMERICAL_FAILURE, STATUS_OPTIMAL,
+                           build_relaxation, check_level,
                            extract_sos_certificate, resolve_max_p, solve_sdp,
                            uniform_conditioning, _factor_schur, _max_steps,
                            _schur_matrix)
@@ -111,8 +111,8 @@ def test_schur_memory_guard(monkeypatch):
     # level 16 in five variables: q = C(36, 4) = 58905, 25.9 GiB in one
     # matrix, admitted with at least twice that much physical memory
     q = sym_dimension(5, 32)
-    need = SCHUR_COPIES * 8 * q * q
-    assert SCHUR_COPIES == 1 and SCHUR_MEMORY_FRACTION == 0.5
+    need = 8 * q * q
+    assert SCHUR_MEMORY_FRACTION == 0.5
     monkeypatch.setattr(sdp_module, "_physical_memory",
                         lambda: 2 * need - 1)
     with pytest.raises(ResourceGuardError,
@@ -716,3 +716,123 @@ def test_higher_level_never_larger_within_gap():
     lo = solve_sdp(build_relaxation(T, 2))
     hi = solve_sdp(build_relaxation(T, 3))
     assert hi.nu_ell <= lo.t_star + 1e-9
+
+
+def _refuse_after(k):
+    # a candidate that has no Cholesky factor for its first k trials
+    alphas = []
+
+    def candidate(alpha):
+        alphas.append(alpha)
+        return alpha, "X", None if len(alphas) <= k else "L"
+
+    return candidate, alphas
+
+
+def test_backtrack_accepts_the_first_trial():
+    candidate, alphas = _refuse_after(0)
+    assert sdp_module._backtrack(candidate, 0.9, "current") == (
+        (0.9, "X", "L"), 0.9)
+    assert alphas == [0.9]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 30])
+def test_backtrack_accepts_after_k_shrinks_at_alpha_times_0_7_to_the_k(k):
+    candidate, alphas = _refuse_after(k)
+    expected = [0.93]
+    for _ in range(k):
+        expected.append(expected[-1] * 0.7)
+    got, alpha = sdp_module._backtrack(candidate, 0.93, "current")
+    assert alphas == expected
+    assert alpha == expected[-1] and got == (alpha, "X", "L")
+
+
+def test_backtrack_freezes_a_side_that_never_factors():
+    candidate, alphas = _refuse_after(10**6)
+    current = object()
+    got, alpha = sdp_module._backtrack(candidate, 1.0, current)
+    assert got is current and alpha == 0.0
+    # 0.7^45 > 1e-7 > 0.7^46: the 47th trial is the last
+    assert len(alphas) == 47
+    assert alphas[-2] >= 1e-7 > alphas[-1] == 0.7 ** 46
+
+
+def _maximally_symmetric(problem, A):
+    # the structural basis is orthonormal, so embedding the projection is
+    # the orthogonal projection onto the maximally symmetric subspace
+    return np.allclose(problem.moment_matrix(problem.project(A)), A,
+                       rtol=0.0, atol=1e-12 * np.abs(A).max())
+
+
+def _refusing_cholesky(monkeypatch, problem, refuse):
+    """Refuse the factor of every candidate on the sides named in refuse.
+
+    The start's two matrices factor as before.  A primal candidate M(y) is
+    maximally symmetric; a dual one, t I - Z + Zbar with Zbar != 0, is not
+    (the level must be at least 2).  Returns the trials per side.
+    """
+    start = (problem.moment_matrix(problem.initial_primal()),
+             problem.initial_dual()[1])
+    trials = {"primal": 0, "dual": 0}
+    factor = sdp_module._cholesky
+
+    def cholesky(A):
+        if any(np.array_equal(A, B) for B in start):
+            return factor(A)
+        side = "primal" if _maximally_symmetric(problem, A) else "dual"
+        trials[side] += 1
+        return None if side in refuse else factor(A)
+
+    monkeypatch.setattr(sdp_module, "_cholesky", cholesky)
+    return trials
+
+
+def _start(problem):
+    return problem.initial_primal(), problem.initial_dual()
+
+
+def test_solve_fails_at_once_when_the_schur_matrix_has_no_factor(
+        monkeypatch):
+    prob = build_relaxation(_random_poly(3, 4, 21), 2)
+    y0, (t0, Z0) = _start(prob)
+    monkeypatch.setattr(sdp_module, "_factor_schur", lambda S: None)
+    sol = solve_sdp(prob)
+    assert sol.status == STATUS_NUMERICAL_FAILURE
+    assert sol.iterations == 1
+    assert np.array_equal(sol.M_star.vec, y0)
+    assert np.array_equal(sol.Z_star, Z0) and sol.t_star == t0
+
+
+def test_both_sides_freeze_in_the_corrector_and_the_rescue(monkeypatch):
+    prob = build_relaxation(_random_poly(3, 4, 22), 2)
+    y0, (t0, Z0) = _start(prob)
+    trials = _refusing_cholesky(monkeypatch, prob, ("primal", "dual"))
+    sol = solve_sdp(prob)
+    assert sol.status == STATUS_NUMERICAL_FAILURE
+    assert sol.iterations == 1
+    # a search from a fraction of at most 1 freezes by its 47th trial, so
+    # more than 47 trials on a side means it was searched twice: in the
+    # corrector and in the rescue
+    assert 47 < trials["primal"] <= 2 * 47
+    assert 47 < trials["dual"] <= 2 * 47
+    assert np.array_equal(sol.M_star.vec, y0)
+    assert np.array_equal(sol.Z_star, Z0) and sol.t_star == t0
+
+
+@pytest.mark.parametrize("frozen", ["primal", "dual"])
+def test_one_frozen_side_keeps_its_iterate_while_the_other_moves(
+        monkeypatch, frozen):
+    prob = build_relaxation(_random_poly(3, 4, 23), 2)
+    y0, (t0, Z0) = _start(prob)
+    trials = _refusing_cholesky(monkeypatch, prob, (frozen,))
+    sol = solve_sdp(prob, max_iterations=2)
+    assert sol.status == STATUS_MAX_ITERATIONS and sol.iterations == 2
+    # the frozen side is searched down past 1e-7 in both iterations, the
+    # moving side's corrector is accepted at its first trial, and no
+    # rescue runs
+    assert 47 < trials[frozen] <= 2 * 47
+    assert trials["dual" if frozen == "primal" else "primal"] == 2
+    primal_kept = np.array_equal(sol.M_star.vec, y0)
+    dual_kept = np.array_equal(sol.Z_star, Z0) and sol.t_star == t0
+    assert (primal_kept, dual_kept) == (frozen == "primal",
+                                        frozen == "dual")
