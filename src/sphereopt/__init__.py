@@ -19,7 +19,7 @@ from .oracle import OracleResult, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
                       multiply_r2, poly_to_vector, vector_to_poly)
 from .reduction import (ReductionRecord, canonicalize, gamma_factor,
-                        homogenize_terms, lift_odd, pullback_bounds)
+                        lift_odd, pullback_bounds)
 from .sdp import (DEFAULT_MAX_P, DEFAULT_MIN_COND_RATIO, ResourceGuardError,
                   SdpProblem, SdpSolution, SolverError,
                   STATUS_MAX_ITERATIONS, STATUS_NUMERICAL_FAILURE,
@@ -36,8 +36,8 @@ __all__ = [
     "STATUS_NUMERICAL_FAILURE", "STATUS_OPTIMAL",
     "basis_catalog", "build_relaxation", "canonicalize", "definetti_eps",
     "density_constant", "evaluate", "extract_sos_certificate",
-    "gamma_factor", "gradient", "homo_poly", "homogenize_terms",
-    "lambda_coeff", "lift_odd", "lower_bound",
+    "gamma_factor", "gradient", "homo_poly", "lambda_coeff", "lift_odd",
+    "lower_bound",
     "measure_density", "moment_table",
     "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",

@@ -38,12 +38,13 @@ import sys
 import numpy as np
 
 from .definetti import candidate_points, solve_and_report
-from .oracle import polish, sphere_maximize
+from .oracle import DEFAULT_RESTARTS, DEFAULT_SEED, polish, sphere_maximize
 from .polymat import evaluate
 from .reduction import canonicalize, pullback_bounds, pullback_points
-from .sdp import (DEFAULT_MAX_ITERATIONS, ResourceGuardError, SolverError,
-                  STATUS_OPTIMAL, build_relaxation, check_level,
-                  check_solve_options, extract_sos_certificate, resolve_max_p)
+from .sdp import (DEFAULT_MAX_ITERATIONS, DEFAULT_MAX_P, DEFAULT_TOL,
+                  ResourceGuardError, SolverError, STATUS_OPTIMAL,
+                  build_relaxation, check_level, check_solve_options,
+                  extract_sos_certificate, gap_closed, resolve_max_p)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -251,20 +252,24 @@ def _build_parser():
     parser.add_argument("--level", default=None, metavar="L|LO..HI",
                         help="relaxation level or inclusive range "
                              "(default: automatic)")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="solver duality-gap tolerance (default 1e-8)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="solver duality-gap tolerance (default "
+                             f"{DEFAULT_TOL})")
     parser.add_argument("--max-iterations", type=int,
                         default=DEFAULT_MAX_ITERATIONS,
                         help="interior-point iteration budget (default "
                              f"{DEFAULT_MAX_ITERATIONS})")
     parser.add_argument("--max-p", type=int, default=None,
-                        help="matrix-side resource guard (default 512)")
+                        help="matrix-side resource guard (default "
+                             f"{DEFAULT_MAX_P})")
     parser.add_argument("--oracle", action="store_true",
                         help="also run seeded local search for comparison")
-    parser.add_argument("--restarts", type=int, default=32,
-                        help="local-search restarts (default 32)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the local search (default 0)")
+    parser.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                        help="local-search restarts (default "
+                             f"{DEFAULT_RESTARTS})")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed for the local search (default "
+                             f"{DEFAULT_SEED})")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
     parser.add_argument("--certificate", action="store_true",
@@ -374,11 +379,6 @@ def _solve(problem, record, args):
     return pullback_bounds(record, report), solution
 
 
-def _closes(upper, value, tol):
-    """The solver's own gap rule, applied to the window above a point."""
-    return upper - value <= tol * max(1.0, abs(upper))
-
-
 def _best_point(record, M, upper, tol):
     """(value, point): the best original-sphere point an optimal state gives.
 
@@ -390,7 +390,7 @@ def _best_point(record, M, upper, tol):
     T = record.original
     X = pullback_points(record, candidate_points(M))
     values = evaluate(T, X)
-    if not _closes(upper, values.max(), tol):
+    if not gap_closed(upper - values.max(), upper, tol):
         X, values = polish(T, X)
     k = int(np.argmax(values))
     return float(values[k]), [float(v) for v in X[k]]
@@ -426,7 +426,8 @@ def _climb(problem, record, args, max_p):
         if solution.status != STATUS_OPTIMAL:
             if best is not None:
                 report, solution = best
-                closed = _closes(report.nu_upper, value, args.tol)
+                closed = gap_closed(report.nu_upper - value,
+                                    report.nu_upper, args.tol)
             break
         if best is None or report.nu_upper < best[0].nu_upper:
             best = report, solution
@@ -434,7 +435,8 @@ def _climb(problem, record, args, max_p):
                             args.tol)
         if found[0] > value:
             value, point = found
-        closed = _closes(report.nu_upper, value, args.tol)
+        closed = gap_closed(report.nu_upper - value, report.nu_upper,
+                            args.tol)
         if closed:
             break
         if top is None:
@@ -484,11 +486,6 @@ def run(args, out=None, err=None):
                 raise ValueError(
                     f"--n {args.n} conflicts with JSON field n = {n}")
         record = canonicalize(n, terms)
-    except ValueError as exc:
-        err.write(f"sphereopt: {exc}\n")
-        return EXIT_INPUT
-
-    try:
         # Reading record.solve_target pads the terms to one degree, which
         # makes about as many terms as the base level has rows, so the
         # guards run first, on the deepest level asked for, and a bad

@@ -3,12 +3,14 @@
 A maximally symmetric state M at level l (positive semidefinite, unit
 trace) induces a genuine probability density on the unit sphere,
 
-    rho_M(x) = c * Q_M(x),    c = omega_n / (omega_{n-1} lambda(n, l, 0)),
+    rho_M(x) = c * Q_M(x),    c = prod_{i<l} (n + 2i) / (2l - 1)!!,
 
 where Q_M is the degree-2l polynomial carried by M (nonnegative on the
 sphere since M >= 0) and integration is against the rotation-invariant
-probability measure.  The normalization is exact: c * integral(Q_M) = 1
-for every maximally symmetric state.
+probability measure.  The normalization is exact: the average of
+|x><x|^{(x)l} is the average of x_1^{2l}, which is 1/c, times the identity
+on the symmetric subspace, so c * integral(Q_M) = c tr(M) / c = 1 for
+every maximally symmetric state.
 
 Averaging projectors |x><x|^{(x)a} against rho_M yields a true moment
 matrix at level a whose distance to the physical reduction of M (trace
@@ -44,14 +46,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .harmonics import definetti_eps, lambda_coeff, surface_area
+from .harmonics import definetti_eps
 from .polymat import MaxSymMatrix, _trace_gather, evaluate, poly_to_vector
-from .sdp import DEFAULT_MAX_ITERATIONS, solve_sdp
+from .sdp import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, solve_sdp
 
 
 def density_constant(n, level):
-    """Normalizer c with c * integral(Q_M) = 1 for every state M."""
-    return surface_area(n) / (surface_area(n - 1) * lambda_coeff(n, level, 0))
+    """Normalizer c = prod_{i<level} (n + 2i) / (2 level - 1)!! of rho_M,
+    one division of exact integers, so correctly rounded."""
+    if n < 2 or level < 0:
+        raise ValueError("need n >= 2, level >= 0")
+    return (math.prod(range(n, n + 2 * level, 2))
+            / math.prod(range(1, 2 * level, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +210,7 @@ class BoundsReport:
         default=None, compare=False, repr=False)
 
 
-def solve_and_report(problem, tol=1e-8,
+def solve_and_report(problem, tol=DEFAULT_TOL,
                      max_iterations=DEFAULT_MAX_ITERATIONS):
     """Solve a built relaxation and certify two-sided bounds.
 

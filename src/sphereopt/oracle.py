@@ -35,13 +35,15 @@ CHUNK = 32
 # trial step has this length.
 MAX_STEPS = 500
 INITIAL_STEP = 0.1
+# The restart count and seed of a call (and of ``--oracle``) that sets none.
+DEFAULT_RESTARTS = 32
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     value: float
     argmax: np.ndarray
-    restarts_used: int
     converged: bool
 
 
@@ -132,7 +134,7 @@ def polish(T, X):
     return X, evaluate(T, X)
 
 
-def sphere_maximize(T, restarts=32, seed=0):
+def sphere_maximize(T, restarts=DEFAULT_RESTARTS, seed=DEFAULT_SEED):
     """Estimate max of T over the unit sphere by multistart tangent ascent.
 
     Each restart draws a uniform starting point from its own stream of the
@@ -163,4 +165,4 @@ def sphere_maximize(T, restarts=32, seed=0):
         if fx[k] > best_val:
             best_val, best_x, best_conv = fx[k], X[k], bool(converged[k])
     return OracleResult(value=evaluate(T, best_x), argmax=best_x,
-                        restarts_used=restarts, converged=best_conv)
+                        converged=best_conv)

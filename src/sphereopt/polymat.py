@@ -81,7 +81,7 @@ class HomoPoly:
         if other.n != self.n or other.degree != self.degree:
             raise ValueError("polynomial shape mismatch in addition")
         out = dict(self.coeffs)
-        add_terms(out, other.coeffs)
+        add_terms(out, other.coeffs.items())
         return HomoPoly(self.n, self.degree, out)
 
     def __sub__(self, other):
@@ -102,14 +102,14 @@ class HomoPoly:
                 np.array([a for _, a in items], dtype=float))
 
 
-def add_terms(out, coeffs):
-    """Add ``coeffs`` into the dict ``out`` in place.
+def add_terms(out, terms):
+    """Add (exponents, coefficient) pairs into the dict ``out`` in place.
 
     A sum that reaches exactly 0.0 is deleted, so a later term re-inserts
-    its key at the end; keys, order and bits are those of adding the
-    polynomials one at a time with ``+``.
+    its key at the end, and a zero term adds nothing; keys, order and bits
+    are those of adding the terms one at a time as polynomials with ``+``.
     """
-    for mi, a in coeffs.items():
+    for mi, a in terms:
         s = out.get(mi, 0.0) + a
         if s == 0.0:
             out.pop(mi, None)
@@ -117,25 +117,27 @@ def add_terms(out, coeffs):
             out[mi] = s
 
 
+def require_finite(coeffs):
+    """Raise ValueError unless every value of ``coeffs`` is finite."""
+    if not all(map(math.isfinite, coeffs.values())):
+        raise ValueError("polynomial coefficients must be finite")
+
+
 def homo_poly(n, degree, terms):
     """Build a HomoPoly from a mapping of exponent tuples to coefficients.
 
-    Zero coefficients are dropped; degree or length mismatches raise.
+    Coefficients are summed per exponent tuple with :func:`add_terms`.
+    Degree or length mismatches raise, as does a sum that is not finite.
     """
     if n < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    coeffs = {}
     items = terms.items() if hasattr(terms, "items") else terms
-    for key, a in items:
-        mi = exponent_tuple(key, n, degree)
-        a = float(a)
-        if a == 0.0:
-            continue
-        coeffs[mi] = coeffs.get(mi, 0.0) + a
-        if coeffs[mi] == 0.0:
-            del coeffs[mi]
+    coeffs = {}
+    add_terms(coeffs, ((exponent_tuple(key, n, degree), float(a))
+                       for key, a in items))
+    require_finite(coeffs)
     return HomoPoly(n, degree, coeffs)
 
 

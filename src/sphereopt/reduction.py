@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .multiindex import exponent_tuple
-from .polymat import HomoPoly, add_terms, multiply_r2
+from .polymat import HomoPoly, add_terms, multiply_r2, require_finite
 
 
 def gamma_factor(a):
@@ -42,23 +42,6 @@ def gamma_factor(a):
         raise ValueError("need a positive half-degree")
     return math.exp((a - 0.5) * math.log(2 * a - 1.0)
                     - a * math.log(2.0 * a))
-
-
-def _require_finite(coeffs):
-    if not all(map(math.isfinite, coeffs.values())):
-        raise ValueError("polynomial coefficients must be finite")
-
-
-def homogenize_terms(n, terms):
-    """Single homogeneous polynomial equal on the sphere to the given terms.
-
-    ``terms`` maps exponent tuples of length n to coefficients, possibly of
-    several degrees.  All degrees must share one parity and every summed
-    coefficient must be finite; lower-degree terms are padded with powers
-    of the squared radius.  A constant becomes a degree-2 polynomial (the
-    smallest positive even degree).
-    """
-    return canonicalize(n, terms).original
 
 
 def lift_odd(T):
@@ -73,14 +56,17 @@ def lift_odd(T):
 class ReductionRecord:
     """How an input reduces to an even homogeneous problem.
 
-    ``terms`` maps exponent tuples of length ``n`` to nonzero finite sums,
-    in first-seen order, and ``degree`` is the degree they pad to.  The
+    ``terms`` maps exponent tuples of length ``n`` to nonzero finite sums
+    in first-seen order, summed by :func:`sphereopt.polymat.add_terms`: a
+    sum that reaches zero part-way moves to the end if a later term adds
+    to it, as keys that name one tuple twice (``("2", "0")`` and
+    ``(2, 0)``) can cause.  ``degree`` is the degree they pad to.  The
     solved shape, ``solve_n`` variables and half-degree ``a``, follows
-    from these alone, so guards can run before any padding.  ``original``
-    (the padded terms) and ``solve_target`` (``original``, or its lift for
-    an odd degree) are built on first use, where a padded sum that
-    overflows raises ValueError.  Bounds for ``solve_target`` divided by
-    ``gamma`` are bounds for ``original``.
+    from these alone, so guards can run before any padding.
+    ``original`` (the padded terms) and ``solve_target`` (``original``, or
+    its lift for an odd degree) are built on first use, where a padded sum
+    that overflows raises ValueError.  Bounds for ``solve_target`` divided
+    by ``gamma`` are bounds for ``original``.
     """
 
     n: int
@@ -108,10 +94,11 @@ class ReductionRecord:
         coeffs = {}
         for mi, a in self.terms.items():
             degree = sum(mi)
-            add_terms(coeffs, multiply_r2(HomoPoly(self.n, degree, {mi: a}),
-                                          (self.degree - degree) // 2).coeffs)
+            padded = multiply_r2(HomoPoly(self.n, degree, {mi: a}),
+                                 (self.degree - degree) // 2)
+            add_terms(coeffs, padded.coeffs.items())
         # padding adds terms up, which can overflow
-        _require_finite(coeffs)
+        require_finite(coeffs)
         return HomoPoly(self.n, self.degree, coeffs)
 
     @cached_property
@@ -130,16 +117,11 @@ def canonicalize(n, terms):
     if n < 2:
         raise ValueError("sphere optimization needs at least two variables")
     cleaned = {}
-    for key, a in terms.items():
-        mi = exponent_tuple(key, n)
-        a = float(a)
-        if a == 0.0:
-            continue
-        cleaned[mi] = cleaned.get(mi, 0.0) + a
-    cleaned = {mi: a for mi, a in cleaned.items() if a != 0.0}
+    add_terms(cleaned, ((exponent_tuple(key, n), float(a))
+                        for key, a in terms.items()))
     if not cleaned:
         raise ValueError("polynomial is identically zero")
-    _require_finite(cleaned)
+    require_finite(cleaned)
     degrees = {sum(mi) for mi in cleaned}
     if len({d % 2 for d in degrees}) > 1:
         raise ValueError(

@@ -122,6 +122,7 @@ dpotrf, dpotrs, dtrtrs = _lapack_routines()
 DEFAULT_MAX_P = 512
 DEFAULT_MIN_COND_RATIO = 5e-6
 DEFAULT_MAX_ITERATIONS = 120
+DEFAULT_TOL = 1e-8
 
 # The largest share of physical memory a solve's q x q Schur workspace may
 # take: the rest is left for the assembly blocks, Python, numpy and other
@@ -146,7 +147,7 @@ class ResourceGuardError(RuntimeError):
 
 
 def resolve_max_p(max_p=None):
-    """Size guard: the ``max_p`` argument (``--max-p``), else 512."""
+    """Size guard: ``max_p`` (``--max-p``), or ``DEFAULT_MAX_P`` if None."""
     if max_p is None:
         return DEFAULT_MAX_P
     cap = int(max_p)
@@ -525,18 +526,23 @@ def _backtrack(candidate, alpha, current):
         alpha *= 0.7
 
 
-def solve_sdp(problem, tol=1e-8, max_iterations=DEFAULT_MAX_ITERATIONS):
+def gap_closed(gap, value, tol):
+    """The solver's gap rule: gap <= tol * max(1, |value|)."""
+    return gap <= tol * max(1.0, abs(value))
+
+
+def solve_sdp(problem, tol=DEFAULT_TOL, max_iterations=DEFAULT_MAX_ITERATIONS):
     """Solve the relaxation to the requested duality-gap tolerance.
 
-    Stops when tr(X Z) <= tol * max(1, |objective|) with feasibility
-    residuals at roundoff.  Each side of a step, primal and dual, starts at
-    0.99 of its longest feasible fraction (at most 1) and shrinks by 0.7
-    until its candidate has a Cholesky factor; below 1e-7 it freezes.  If
-    both sides of the corrector freeze, a pure centering step is tried.
-    Statuses are "optimal", "max_iterations" (budget exhausted) and
-    "numerical_failure" (both sides of the centering step froze too, or
-    the Schur matrix has no factor); each returns the last iterate.
-    Reruns on identical input produce bitwise-identical output.
+    Stops when tr(X Z) and the objective pass :func:`gap_closed`, with
+    feasibility residuals at roundoff.  Each side of a step, primal and
+    dual, starts at 0.99 of its longest feasible fraction (at most 1) and
+    shrinks by 0.7 until its candidate has a Cholesky factor; below 1e-7
+    it freezes.  If both sides of the corrector freeze, a pure centering
+    step is tried.  Statuses are "optimal", "max_iterations" (budget
+    exhausted) and "numerical_failure" (both sides of the centering step
+    froze too, or the Schur matrix has no factor); each returns the last
+    iterate.  Reruns on identical input produce bitwise-identical output.
     """
     check_solve_options(tol, max_iterations)
     p = problem.p
@@ -566,7 +572,7 @@ def solve_sdp(problem, tol=1e-8, max_iterations=DEFAULT_MAX_ITERATIONS):
             status = STATUS_MAX_ITERATIONS
             break
         gap_xz = float(np.sum(X * Z))
-        if (gap_xz <= tol * max(1.0, abs(obj))
+        if (gap_closed(gap_xz, obj, tol)
                 and abs(rp) <= 1e-8 and rd_norm <= 1e-7 * c_scale):
             status = STATUS_OPTIMAL
             break

@@ -5,6 +5,7 @@ objective against the de Finetti density.  The code below exists only to
 verify that pipeline against the theorems behind it, so it lives next to
 the tests instead of shipping with the package:
 
+* seeded test polynomials shared by several test modules;
 * brute-force product-space constructions (explicit number states and the
   explicit symmetrizer), guarded to small sizes;
 * polynomial identities: the Laplacian and its partial-trace route, powers
@@ -50,6 +51,28 @@ from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
                                _pair_maps, _vec_scale, evaluate, gradient,
                                homo_poly, multiply_r2, poly_to_vector,
                                vector_to_poly)
+
+
+# Seeded test polynomials.
+
+def random_poly(n, degree, seed):
+    """Form whose number-state coordinates are seeded standard normals."""
+    rng = np.random.default_rng(seed)
+    cat = basis_catalog(n, degree)
+    return vector_to_poly(n, degree, rng.standard_normal(len(cat)))
+
+
+def quadratic_poly(A):
+    """The quadratic form x' A x of a symmetric matrix A."""
+    n = A.shape[0]
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = A[i, j] * (1.0 if i == j else 2.0)
+    return homo_poly(n, 2, terms)
 
 
 # Number states and the symmetrizer in the n^l product space.
@@ -493,7 +516,7 @@ def sequential_sphere_maximize(T, restarts=32, max_iterations=500,
         if fx > best_val:
             best_val, best_x, best_conv = fx, x, converged
     return OracleResult(value=float(best_val), argmax=best_x,
-                        restarts_used=restarts, converged=best_conv)
+                        converged=best_conv)
 
 
 # de Finetti checks and random states.

@@ -34,8 +34,8 @@ from sphereopt.sdp import build_relaxation, solve_sdp
 from reference import (definetti_trace_check, dense_number_state,
                        funk_hecke_residual, harmonic_decompose,
                        p_from_q_coefficients, poly_to_maxsym_matrix,
-                       random_msym_state, random_product_mixture,
-                       state_from_harmonic_density)
+                       quadratic_poly, random_msym_state,
+                       random_product_mixture, state_from_harmonic_density)
 
 
 def _announce(capsys, ok, name, detail):
@@ -52,18 +52,6 @@ def _random_poly(n, degree, seed):
     return raw.scaled(1.0 / scale)
 
 
-def _quadratic(A):
-    n = A.shape[0]
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            terms[tuple(e)] = A[i, j] * (1.0 if i == j else 2.0)
-    return homo_poly(n, 2, terms)
-
-
 def test_01_quadratic_level_is_exact(capsys):
     # the first relaxation level of x'Ax must reproduce the top eigenvalue
     t0 = time.perf_counter()
@@ -74,7 +62,7 @@ def test_01_quadratic_level_is_exact(capsys):
         n = (2, 3, 4)[k % 3]
         A = rng.standard_normal((n, n))
         A = (A + A.T) / 2.0
-        sol = solve_sdp(build_relaxation(_quadratic(A), 1))
+        sol = solve_sdp(build_relaxation(quadratic_poly(A), 1))
         if sol.status != "optimal":
             failures.append(f"instance {k}: status {sol.status}")
             continue

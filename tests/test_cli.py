@@ -3,7 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -555,15 +558,30 @@ def test_automatic_climb_with_no_optimal_level_exits_3(monkeypatch):
 
 
 def test_one_iteration_budget_default():
-    budget = sdp.DEFAULT_MAX_ITERATIONS
-    assert budget == 120
-    for solve in (sdp.solve_sdp, definetti.solve_and_report):
-        assert inspect.signature(solve).parameters[
-            "max_iterations"].default == budget
-    option = next(action for action in cli._build_parser()._actions
-                  if action.dest == "max_iterations")
-    assert option.default == budget
-    assert option.help.endswith(f"(default {budget})")
+    # each default has one home, which the library and the CLI both read;
+    # --max-p leaves None to resolve_max_p
+    solvers = (sdp.solve_sdp, definetti.solve_and_report)
+    homes = {
+        "max_iterations": (sdp.DEFAULT_MAX_ITERATIONS, 120, solvers),
+        "tol": (sdp.DEFAULT_TOL, 1e-8, solvers),
+        "restarts": (oracle.DEFAULT_RESTARTS, 32, (oracle.sphere_maximize,)),
+        "seed": (oracle.DEFAULT_SEED, 0, (oracle.sphere_maximize,)),
+        "max_p": (sdp.DEFAULT_MAX_P, 512, ()),
+    }
+    options = {action.dest: action
+               for action in cli._build_parser()._actions}
+    for dest, (default, value, library) in homes.items():
+        assert default == value
+        for function in library:
+            assert inspect.signature(function).parameters[
+                dest].default == default
+        option = options[dest]
+        assert option.help.endswith(f"(default {default})")
+        if dest == "max_p":
+            assert option.default is None
+            assert sdp.resolve_max_p(option.default) == default
+        else:
+            assert option.default == default
 
 
 def test_exit_code_on_solver_exception(monkeypatch):
@@ -768,8 +786,39 @@ def test_climb_schedule():
             assert sum((lv / top) ** 6 for lv in between) <= 0.1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_module_entry_point_smoke():
+    # python -W error -m sphereopt.cli, as a shell runs it; Python's json
+    # parser accepts NaN and Infinity unless told to refuse them
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+    def payload(*args):
+        got = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sphereopt.cli",
+             "--poly", README_QUARTIC, "--format", "json", *args],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (got.returncode, got.stderr) == (EXIT_OK, ""), got.stderr
+        return json.loads(got.stdout, parse_constant=_refuse_constant)
+
+    # a binary quartic closes at its base level 2; a default that slides
+    # back to the a priori level (20 here) would take seconds
+    p = payload()
+    assert p["level"] == 2 and p["window_closed"] is True, p
+    p = payload("--level", "2", "--certificate", "--oracle")
+    assert p["level"] == 2 and p["status"] == "optimal" and p["certificate"]
+    # at an explicit level the reported lower bound is the density average
+    # alone; it must sit below the oracle value, and the upper bound above
+    p = payload("--level", "4", "--oracle")
+    assert p["status"] == "optimal", p
+    assert p["nu_lower"] <= p["oracle_value"] <= p["nu_upper"] + 1e-8, p
+
+
 def test_climb_without_closure_solves_the_schedule(monkeypatch):
-    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
     code, payload = _run_json(["--poly", README_QUARTIC])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4, 8, 20]
@@ -795,7 +844,7 @@ def _deep_quartic(tmp_path):
 def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
                                                           tmp_path):
     # the level-19 benchmark quartic: the climb that never closes
-    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
     code, payload = _run_json(["--input", _deep_quartic(tmp_path)])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4, 8, 19]
@@ -856,7 +905,7 @@ def test_non_finite_schur_right_hand_side_exits_3_without_output(
 @pytest.mark.parametrize("error", [ResourceGuardError, ValueError])
 def test_build_refused_mid_climb_reports_last_solved_level(monkeypatch,
                                                            error):
-    monkeypatch.setattr(cli, "_closes", lambda *args: False)
+    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
 
     def refusing(T, level, **kwargs):
         if level > 4:

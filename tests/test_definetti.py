@@ -41,8 +41,20 @@ def test_density_constant_uniform_state_gives_flat_density():
         assert density_mass(density) == pytest.approx(1.0, abs=1e-12)
         for _ in range(5):
             assert density(_unit(rng, n)) == pytest.approx(1.0, abs=1e-10)
-    # n=3, level=1: lambda(3, 1, 0) = 2/3 and the area ratio is 2
-    assert density_constant(3, 1) == pytest.approx(3.0, abs=1e-12)
+    # n=3, level=1: c = 3 / 1!!
+    assert density_constant(3, 1) == 3.0
+
+
+def test_density_constant_is_the_correctly_rounded_ratio():
+    # prod_{i<l} (n + 2i) / (2l - 1)!!, within half an ulp
+    for n in range(2, 31):
+        for level in range(41):
+            exact = Fraction(math.prod(n + 2 * i for i in range(level)),
+                             math.prod(2 * i + 1 for i in range(level)))
+            assert density_constant(n, level) == float(exact), (n, level)
+    for n, level in ((1, 2), (0, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            density_constant(n, level)
 
 
 def test_measure_density_normalizes_any_state():

@@ -71,6 +71,7 @@ COLD_CALL_UNLOADED = ("scipy.linalg", "numpy.f2py", "numpy.testing",
 
 
 def test_cold_cli_call_leaves_scipy_linalg_unloaded():
+    # under -W error a warning from the LAPACK loader fails the call
     probe = (
         "import contextlib, io, json, sys\n"
         "import sphereopt.cli as cli\n"
@@ -81,7 +82,7 @@ def test_cold_cli_call_leaves_scipy_linalg_unloaded():
         "assert code == 0 and json.loads(out.getvalue())['certificate']\n"
         f"print(sorted(set({COLD_CALL_UNLOADED!r}) & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    got = subprocess.run([sys.executable, "-c", probe], env=env,
+    got = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     assert got.stdout.strip() == "[]"

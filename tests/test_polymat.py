@@ -12,13 +12,8 @@ from sphereopt.sdp import build_relaxation
 
 from reference import (dense_number_state, laplacian,
                        laplacian_via_trace_check, maxsym_projection,
-                       partial_trace_matrix, poly_to_maxsym_matrix, r2k_poly)
-
-
-def _random_poly(n, degree, seed):
-    rng = np.random.default_rng(seed)
-    cat = basis_catalog(n, degree)
-    return vector_to_poly(n, degree, rng.standard_normal(len(cat)))
+                       partial_trace_matrix, poly_to_maxsym_matrix, r2k_poly,
+                       random_poly)
 
 
 def _product_coords(x, level):
@@ -41,6 +36,18 @@ def test_homo_poly_validation():
         homo_poly(2, 3, {(4, -1): 1.0})  # negative exponent
     with pytest.raises(ValueError):
         homo_poly(0, 1, {})
+
+
+def test_homo_poly_refuses_coefficients_that_are_not_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            homo_poly(2, 2, {(2, 0): bad, (0, 2): 1.0})
+    # finite terms whose sum overflows
+    with pytest.raises(ValueError, match="must be finite"):
+        homo_poly(2, 2, [((2, 0), 1e308), ((2, 0), 1e308), ((0, 2), 1.0)])
+    # a NaN term is refused even where a zero term beside it is dropped
+    with pytest.raises(ValueError, match="must be finite"):
+        homo_poly(2, 2, {(2, 0): 0.0, (0, 2): math.nan})
 
 
 def test_homo_poly_arithmetic():
@@ -77,7 +84,7 @@ def test_evaluate_scalar_and_batch():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    T = _random_poly(3, 4, 0)
+    T = random_poly(3, 4, 0)
     x = rng.standard_normal(3)
     g = gradient(T, x)
     h = 1e-6
@@ -91,7 +98,7 @@ def test_gradient_matches_finite_differences():
 def test_batched_kernels_match_points_and_termwise_derivative():
     rng = np.random.default_rng(12)
     for n, degree in ((1, 3), (3, 4), (5, 2), (4, 0), (9, 3)):
-        T = _random_poly(n, degree, n + degree)
+        T = random_poly(n, degree, n + degree)
         X = rng.standard_normal((2, 3, n))
         F, G = evaluate(T, X), gradient(T, X)
         assert F.shape == (2, 3) and G.shape == (2, 3, n)
@@ -127,7 +134,7 @@ def test_vector_roundtrip_and_product_state_pairing():
     # number-state coordinates of |x>^{(x)d} recovers the value.
     rng = np.random.default_rng(7)
     for n, degree in ((2, 4), (3, 3)):
-        T = _random_poly(n, degree, 3)
+        T = random_poly(n, degree, 3)
         v = poly_to_vector(T)
         back = vector_to_poly(n, degree, v)
         for mi, a in T.coeffs.items():
@@ -142,7 +149,7 @@ def test_moment_matrix_encoding_matches_dense_oracle():
     # Z[i, j] = <dense(i)| G |dense(j)> where G is the symmetrized
     # coefficient tensor of T acting on the product space.
     for n, a, seed in ((2, 1, 0), (2, 2, 1), (3, 1, 2), (3, 2, 3)):
-        T = _random_poly(n, 2 * a, seed)
+        T = random_poly(n, 2 * a, seed)
         Z = poly_to_maxsym_matrix(T)
         size = n ** (2 * a)
         G = np.zeros(size)
@@ -170,7 +177,7 @@ def test_moment_matrix_encoding_matches_dense_oracle():
 def test_moment_matrix_quadratic_form_equals_poly():
     rng = np.random.default_rng(9)
     for n, a in ((3, 2), (4, 1)):
-        T = _random_poly(n, 2 * a, 5)
+        T = random_poly(n, 2 * a, 5)
         Z = poly_to_maxsym_matrix(T)
         x = rng.standard_normal(n)
         xs = _product_coords(x, a)
@@ -197,7 +204,7 @@ def test_r2_encoding_identity_and_psd():
 
 
 def test_matrix_poly_roundtrip():
-    T = _random_poly(3, 4, 12)
+    T = random_poly(3, 4, 12)
     M = poly_to_maxsym_matrix(T)
     back = M.to_poly()
     diff = back - T
@@ -209,7 +216,7 @@ def test_project_of_symmetrized_matrix_is_projection():
     # orthogonal projection onto the maximally symmetric subspace
     rng = np.random.default_rng(4)
     n, ell = 3, 2
-    prob = build_relaxation(_random_poly(n, 2 * ell, 4), ell)
+    prob = build_relaxation(random_poly(n, 2 * ell, 4), ell)
 
     def project(A):
         return MaxSymMatrix(n, ell, prob.project((A + A.T) / 2.0))
@@ -236,7 +243,7 @@ def test_trace_matches_matrix_trace():
 
 def test_multiply_r2_evaluates_identically_off_sphere():
     rng = np.random.default_rng(3)
-    T = _random_poly(3, 2, 6)
+    T = random_poly(3, 2, 6)
     S = multiply_r2(T, 2)
     assert S.degree == 6
     x = rng.standard_normal(3) * 1.7
@@ -256,7 +263,7 @@ def test_laplacian_known_values():
 
 def test_laplacian_matches_finite_differences():
     rng = np.random.default_rng(21)
-    T = _random_poly(3, 4, 7)
+    T = random_poly(3, 4, 7)
     x = rng.standard_normal(3)
     h = 1e-4
     fd = 0.0
@@ -345,7 +352,7 @@ def test_reduced_state_matches_dense_partial_trace(n, level):
 def test_reduced_state_is_the_scaled_laplacian():
     # Z_{Lap T} = d (d - 1) tr_1 Z_T, d = deg T
     for n, degree, seed in ((2, 6, 70), (3, 4, 71), (4, 6, 72), (5, 4, 73)):
-        T = _random_poly(n, degree, seed)
+        T = random_poly(n, degree, seed)
         traced = reduced_state(poly_to_maxsym_matrix(T), degree // 2 - 1)
         lap = poly_to_vector(laplacian(T))
         got = degree * (degree - 1) * traced.vec
@@ -354,5 +361,5 @@ def test_reduced_state_is_the_scaled_laplacian():
 
 def test_laplacian_via_trace_check_on_corpus():
     for seed in range(4):
-        T = _random_poly(3, 4, 30 + seed)
+        T = random_poly(3, 4, 30 + seed)
         assert laplacian_via_trace_check(T)

@@ -13,8 +13,8 @@ from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (HomoPoly, add_terms, evaluate, homo_poly,
                                multiply_r2)
-from sphereopt.reduction import (canonicalize, gamma_factor, homogenize_terms,
-                                 lift_odd, pullback_bounds, pullback_points)
+from sphereopt.reduction import (canonicalize, gamma_factor, lift_odd,
+                                 pullback_bounds, pullback_points)
 from sphereopt.sdp import build_relaxation
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,11 +35,11 @@ def test_gamma_factor_matches_profile_maximum():
 
 def test_homogenize_pads_with_squared_radius():
     # x1^2 + 1 on the circle equals 2 x1^2 + x2^2
-    T = homogenize_terms(2, {(2, 0): 1.0, (0, 0): 1.0})
+    T = canonicalize(2, {(2, 0): 1.0, (0, 0): 1.0}).original
     assert T.degree == 2
     assert T.coeffs == homo_poly(2, 2, {(2, 0): 2.0, (0, 2): 1.0}).coeffs
     rng = np.random.default_rng(0)
-    mixed = homogenize_terms(3, {(3, 0, 0): 1.0, (1, 0, 0): -2.0})
+    mixed = canonicalize(3, {(3, 0, 0): 1.0, (1, 0, 0): -2.0}).original
     assert mixed.degree == 3
     for _ in range(10):
         x = rng.standard_normal(3)
@@ -81,33 +81,43 @@ def _homogenize_cases():
 def test_homogenize_accumulates_as_the_addition_route():
     # keys, their order and the bits of every coefficient
     for n, terms in _homogenize_cases():
-        got = homogenize_terms(n, terms)
+        got = canonicalize(n, terms).original
         want = _homogenize_by_addition(n, terms)
         assert got.degree == want.degree
         assert ([(mi, a.hex()) for mi, a in got.coeffs.items()]
                 == [(mi, a.hex()) for mi, a in want.coeffs.items()])
-    cancelled = homogenize_terms(2, {(4, 0): 1.0, (2, 0): -1.0, (0, 0): 1.0})
+    cancelled = canonicalize(2, {(4, 0): 1.0, (2, 0): -1.0,
+                                 (0, 0): 1.0}).original
     assert list(cancelled.coeffs) == [(2, 2), (4, 0), (0, 4)]
-    assert homogenize_terms(2, {(2, 0): 1.0, (0, 2): 1.0,
-                                (0, 0): -1.0}).is_zero()
+    assert canonicalize(2, {(2, 0): 1.0, (0, 2): 1.0,
+                            (0, 0): -1.0}).original.is_zero()
 
 
 def test_homogenize_constant_and_validation():
-    T = homogenize_terms(3, {(0, 0, 0): 5.0})
+    T = canonicalize(3, {(0, 0, 0): 5.0}).original
     assert T.degree == 2
     x = np.array([0.0, 0.6, 0.8])
     assert evaluate(T, x) == pytest.approx(5.0, abs=1e-12)
     with pytest.raises(ValueError, match="mixed"):
-        homogenize_terms(2, {(2, 0): 1.0, (1, 0): 1.0})
+        canonicalize(2, {(2, 0): 1.0, (1, 0): 1.0})
     with pytest.raises(ValueError, match="zero"):
-        homogenize_terms(2, {(2, 0): 0.0})
+        canonicalize(2, {(2, 0): 0.0})
     with pytest.raises(ValueError):
-        homogenize_terms(1, {(2,): 1.0})
+        canonicalize(1, {(2,): 1.0})
     with pytest.raises(ValueError, match="slots"):
-        homogenize_terms(3, {(2, 0): 1.0})
+        canonicalize(3, {(2, 0): 1.0})
     # finite terms whose padded sum overflows
     with pytest.raises(ValueError, match="finite"):
-        homogenize_terms(2, {(2, 0): 1e308, (0, 0): 1e308})
+        canonicalize(2, {(2, 0): 1e308, (0, 0): 1e308}).original
+
+
+def test_canonicalize_sums_keys_naming_one_tuple_as_add_terms_does():
+    # ("2", "0"), (" 2", "0") and (2, 0) differ as dict keys but name one
+    # exponent tuple: its sum reaches zero part-way, is deleted, and the
+    # next term re-inserts it at the end
+    rec = canonicalize(2, {(2, 0): 1.0, (0, 2): 1.0, ("2", "0"): -1.0,
+                           (" 2", "0"): 3.0})
+    assert list(rec.terms.items()) == [((0, 2), 1.0), ((2, 0), 3.0)]
 
 
 def test_lift_odd_evaluation_identity():
@@ -194,7 +204,7 @@ def _per_term_route(n, terms):
     for mi, a in cleaned.items():
         degree = sum(mi)
         add_terms(coeffs, multiply_r2(homo_poly(n, degree, {mi: a}),
-                                      (target - degree) // 2).coeffs)
+                                      (target - degree) // 2).coeffs.items())
     original = HomoPoly(n, target, coeffs)
     if target % 2 == 0:
         return original, original

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -19,11 +20,11 @@ from sphereopt.sdp import (SCHUR_MEMORY_FRACTION, ResourceGuardError,
                            SolverError, STATUS_MAX_ITERATIONS,
                            STATUS_NUMERICAL_FAILURE, STATUS_OPTIMAL,
                            build_relaxation, check_level,
-                           extract_sos_certificate, resolve_max_p, solve_sdp,
-                           uniform_conditioning, _factor_schur, _max_steps,
-                           _schur_matrix)
+                           extract_sos_certificate, gap_closed, resolve_max_p,
+                           solve_sdp, uniform_conditioning, _factor_schur,
+                           _max_steps, _schur_matrix)
 
-from reference import dense_uniform_conditioning, lambda_ratio
+from reference import dense_uniform_conditioning, lambda_ratio, quadratic_poly
 
 
 def _random_poly(n, degree, seed, normalize=True):
@@ -33,18 +34,6 @@ def _random_poly(n, degree, seed, normalize=True):
     if normalize:
         w = w / np.abs(w).sum()
     return vector_to_poly(n, degree, w)
-
-
-def _quadratic(A):
-    n = A.shape[0]
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            terms[tuple(e)] = A[i, j] * (1.0 if i == j else 2.0)
-    return homo_poly(n, 2, terms)
 
 
 def test_build_relaxation_shapes_and_guards():
@@ -632,7 +621,7 @@ def test_solve_quadratic_matches_eigenvalue():
     for n in (2, 3, 4):
         A = rng.standard_normal((n, n))
         A = (A + A.T) / 2.0
-        sol = solve_sdp(build_relaxation(_quadratic(A), 1))
+        sol = solve_sdp(build_relaxation(quadratic_poly(A), 1))
         assert sol.status == STATUS_OPTIMAL
         assert sol.nu_ell == pytest.approx(float(np.linalg.eigvalsh(A)[-1]),
                                            abs=1e-7)
@@ -683,6 +672,28 @@ def test_solver_validates_inputs_and_budget():
     short = solve_sdp(prob, max_iterations=2)
     assert short.status == STATUS_MAX_ITERATIONS
     assert short.iterations == 2
+
+
+def test_gap_rule_at_its_boundary():
+    # the gap closes up to tol times max(1, |value|), and not a float above
+    tol = 1e-8
+    for value in (0.0, 0.5, -0.999, 1.0):
+        assert gap_closed(tol, value, tol)
+        assert not gap_closed(math.nextafter(tol, 1.0), value, tol)
+    for value in (4.0, -250.0, 1e6):
+        bound = tol * abs(value)
+        assert gap_closed(bound, value, tol)
+        assert not gap_closed(math.nextafter(bound, math.inf), value, tol)
+
+
+def test_solver_stops_by_the_gap_rule(monkeypatch):
+    prob = build_relaxation(_random_poly(3, 4, 12), 2)
+    sol = solve_sdp(prob)
+    assert sol.status == STATUS_OPTIMAL
+    monkeypatch.setattr(sdp_module, "gap_closed", lambda *args: False)
+    held = solve_sdp(prob, max_iterations=sol.iterations)
+    assert held.status == STATUS_MAX_ITERATIONS
+    assert held.t_star == sol.t_star
 
 
 def test_certificate_reconstructs_gap_polynomial():
