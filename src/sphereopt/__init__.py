@@ -9,15 +9,14 @@ approximate the relaxation optimizer.  The gap between the two shrinks
 at an explicit o(1) rate in the level.
 """
 
-from .definetti import (BoundsReport, SphereMeasureDensity, density_constant,
-                        lower_bound, measure_density, reduced_state,
-                        solve_and_report)
-from .harmonics import (EpsBound, definetti_eps, lambda_coeff, moment_table,
-                        sphere_moment_vector, surface_area)
+from .definetti import (BoundsReport, EpsBound, SphereMeasureDensity,
+                        definetti_eps, density_constant, lower_bound,
+                        measure_density, reduced_state, solve_and_report)
 from .multiindex import basis_catalog, sym_dimension
 from .oracle import OracleResult, sphere_maximize
 from .polymat import (HomoPoly, MaxSymMatrix, evaluate, gradient, homo_poly,
-                      multiply_r2, poly_to_vector, vector_to_poly)
+                      moment_table, multiply_r2, poly_to_vector,
+                      sphere_moment_vector, vector_to_poly)
 from .reduction import (ReductionRecord, canonicalize, gamma_factor,
                         lift_odd, pullback_bounds)
 from .sdp import (DEFAULT_MAX_P, DEFAULT_MIN_COND_RATIO, ResourceGuardError,
@@ -36,11 +35,11 @@ __all__ = [
     "STATUS_NUMERICAL_FAILURE", "STATUS_OPTIMAL",
     "basis_catalog", "build_relaxation", "canonicalize", "definetti_eps",
     "density_constant", "evaluate", "extract_sos_certificate",
-    "gamma_factor", "gradient", "homo_poly", "lambda_coeff", "lift_odd",
+    "gamma_factor", "gradient", "homo_poly", "lift_odd",
     "lower_bound",
     "measure_density", "moment_table",
     "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",
-    "sphere_moment_vector", "surface_area", "sym_dimension",
+    "sphere_moment_vector", "sym_dimension",
     "uniform_conditioning", "vector_to_poly",
 ]

@@ -24,9 +24,10 @@ g(j) = j((j + n)/2 - 1) / (2l + n):
 * the polynomial-pairing (F1) distance is at most twice that, which is
   meaningful once l >= 2 a^2 (a + n/2 - 1) - n/2.
 
-These bounds are the theorem behind the a priori ``eps`` of each report
-(:func:`sphereopt.harmonics.definetti_eps`); the package computes no
-distance itself.
+These bounds are the theorem behind the a priori ``eps`` of each report:
+:func:`definetti_eps` returns the F1 bound 4 a^2 (a + n/2 - 1) / (2l + n)
+and whether l meets its hypothesis.  The package computes no distance
+itself.
 
 Averaging the objective itself against rho_M gives a certified lower
 bound on its sphere maximum that complements the relaxation's upper
@@ -43,10 +44,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import definetti_eps
 from .polymat import MaxSymMatrix, _trace_gather, evaluate, poly_to_vector
 from .sdp import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, solve_sdp
 
@@ -58,6 +59,24 @@ def density_constant(n, level):
         raise ValueError("need n >= 2, level >= 0")
     return (math.prod(range(n, n + 2 * level, 2))
             / math.prod(range(1, 2 * level, 2)))
+
+
+class EpsBound(NamedTuple):
+    value: float
+    valid: bool
+
+
+def definetti_eps(a, level, n):
+    """Relative-error constant eps(a, level, n) = 4a^2 (a + n/2 - 1) / (2l + n).
+
+    ``valid`` reports whether level >= 2 a^2 (a + n/2 - 1) - n/2, the
+    hypothesis under which the two-sided sandwich carries the eps guarantee.
+    """
+    if a < 1 or level < 1 or n < 2:
+        raise ValueError("need a >= 1, level >= 1, n >= 2")
+    value = 4.0 * a * a * (a + n / 2.0 - 1.0) / (2 * level + n)
+    valid = level >= 2.0 * a * a * (a + n / 2.0 - 1.0) - n / 2.0
+    return EpsBound(value=value, valid=valid)
 
 
 @dataclass(frozen=True, eq=False)

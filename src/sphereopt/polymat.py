@@ -28,6 +28,14 @@ degree-(2l - 2) catalog,
 
 with no p x p matrix in between (:func:`_trace_gather`).
 
+The uniform-measure moments live here too, since their number-state
+coordinates carry the same scaling.  The surface measure is normalized to
+total mass one throughout the package, and the moment of a monomial is exact:
+
+    int x^{2b} dx = prod_t (2 b_t - 1)!! / prod_{k<|b|} (n + 2k),
+
+zero for any odd exponent (:func:`moment_table`).
+
 Everything here is dense over the C(2a + n - 1, 2a) coefficient vector, never
 over the n^{2a} product space.
 """
@@ -117,6 +125,14 @@ def add_terms(out, terms):
             out[mi] = s
 
 
+def to_float(a):
+    """``float(a)``, with ValueError for a number beyond the float range."""
+    try:
+        return float(a)
+    except OverflowError:
+        raise ValueError("polynomial coefficients must be finite") from None
+
+
 def require_finite(coeffs):
     """Raise ValueError unless every value of ``coeffs`` is finite."""
     if not all(map(math.isfinite, coeffs.values())):
@@ -135,7 +151,7 @@ def homo_poly(n, degree, terms):
         raise ValueError("degree must be nonnegative")
     items = terms.items() if hasattr(terms, "items") else terms
     coeffs = {}
-    add_terms(coeffs, ((exponent_tuple(key, n, degree), float(a))
+    add_terms(coeffs, ((exponent_tuple(key, n, degree), to_float(a))
                        for key, a in items))
     require_finite(coeffs)
     return HomoPoly(n, degree, coeffs)
@@ -213,6 +229,35 @@ def _vec_scale(n, degree):
     s = np.exp(0.5 * (math.lgamma(degree + 1) - lk))
     s.setflags(write=False)
     return s
+
+
+def _monomial_moment(n, exps):
+    if any(e % 2 for e in exps):
+        return 0.0
+    half = [e // 2 for e in exps]
+    # exact integers, so the one division rounds correctly
+    num = math.prod(math.prod(range(2 * b - 1, 0, -2)) for b in half)
+    den = math.prod(range(n, n + 2 * sum(half), 2))
+    return num / den
+
+
+@lru_cache(maxsize=None)
+def moment_table(n, degree):
+    """Moments of every degree-``degree`` monomial, in catalog order."""
+    out = np.array([_monomial_moment(n, tuple(row))
+                    for row in basis_catalog(n, degree).tolist()])
+    out.setflags(write=False)
+    return out
+
+
+def sphere_moment_vector(n, degree):
+    """Number-state coordinates of the uniform-measure moment matrix.
+
+    Entry at index k is sqrt(degree!/k!) times the moment of x^k; for even
+    degree 2l this is the vectorization of int |x><x|^{(x)l} dx, the strictly
+    positive definite barycenter of the moment body.
+    """
+    return _vec_scale(n, degree) * moment_table(n, degree)
 
 
 def _catalog_coeffs(T):

@@ -33,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .multiindex import exponent_tuple
-from .polymat import HomoPoly, add_terms, multiply_r2, require_finite
+from .polymat import (HomoPoly, add_terms, multiply_r2, require_finite,
+                      to_float)
 
 
 def gamma_factor(a):
@@ -117,7 +118,7 @@ def canonicalize(n, terms):
     if n < 2:
         raise ValueError("sphere optimization needs at least two variables")
     cleaned = {}
-    add_terms(cleaned, ((exponent_tuple(key, n), float(a))
+    add_terms(cleaned, ((exponent_tuple(key, n), to_float(a))
                         for key, a in terms.items()))
     if not cleaned:
         raise ValueError("polynomial is identically zero")

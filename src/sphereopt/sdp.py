@@ -78,10 +78,10 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .harmonics import sphere_moment_vector
 from .multiindex import sym_dimension
 from .polymat import (HomoPoly, MaxSymMatrix, _pair_maps, _schur_layout,
-                      multiply_r2, poly_to_vector, vector_to_poly)
+                      multiply_r2, poly_to_vector, sphere_moment_vector,
+                      vector_to_poly)
 
 FLAPACK = "scipy.linalg._flapack"
 

@@ -13,10 +13,10 @@ the tests instead of shipping with the package:
   of a p x p matrix onto the maximally symmetric matrices, and the dense
   partial trace of a p x p matrix, against which the package's gather on
   coordinates is tested;
-* spherical-harmonic analysis: harmonic dimensions, Gegenbauer
-  polynomials, kernel-coefficient ratios and their gap bounds, monomial
-  moments, exact integrals of polynomials, the harmonic decomposition and
-  the Funk-Hecke identity;
+* spherical-harmonic analysis: surface areas, harmonic dimensions,
+  Gegenbauer polynomials, the Funk-Hecke kernel coefficients, their ratios
+  and gap bounds, monomial moments, exact integrals of polynomials, the
+  harmonic decomposition and the Funk-Hecke identity;
 * Monte-Carlo sphere integration;
 * the sequential local search that the lock-step oracle replaced;
 * de Finetti checks: the coefficients and exact mass of a density, the
@@ -42,15 +42,14 @@ from typing import NamedTuple
 import numpy as np
 
 from sphereopt.definetti import measure_density, reduced_state
-from sphereopt.harmonics import (_moment_cached, lambda_coeff, moment_table,
-                                 sphere_moment_vector, surface_area)
 from sphereopt.multiindex import (basis_catalog, catalog_rank, exponent_tuple,
                                   sym_dimension)
 from sphereopt.oracle import OracleResult, _start_point, sphere_maximize
 from sphereopt.polymat import (HomoPoly, MaxSymMatrix, _catalog_coeffs,
-                               _pair_maps, _vec_scale, evaluate, gradient,
-                               homo_poly, multiply_r2, poly_to_vector,
-                               vector_to_poly)
+                               _monomial_moment, _pair_maps, _vec_scale,
+                               evaluate, gradient, homo_poly, moment_table,
+                               multiply_r2, poly_to_vector,
+                               sphere_moment_vector, vector_to_poly)
 
 
 # Seeded test polynomials.
@@ -260,7 +259,19 @@ def laplacian_via_trace_check(T, tol=1e-10):
     return bool(np.abs(lhs - traced).max() <= tol * scale)
 
 
-# Spherical harmonics.
+# Spherical harmonics.  The package normalizes the surface measure to total
+# mass one; surface_area gives the unnormalized area where the classical
+# constant omega_n = 2 pi^{n/2} / Gamma(n/2) is needed in ratios.
+
+def surface_area(n):
+    """Unnormalized surface area omega_n = 2 pi^{n/2} / Gamma(n/2) of S^{n-1}.
+
+    Defined for n >= 1 (omega_1 = 2 counts the two points of S^0).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
 
 def harmonic_count(j, n):
     """Dimension of the degree-j spherical-harmonic space on S^{n-1}."""
@@ -289,6 +300,36 @@ def gegenbauer_eval(j, n, t):
     for m in range(1, j):
         prev, cur = cur, ((2 * m + n - 2) * tt * cur - m * prev) / (m + n - 2)
     return float(cur) if cur.ndim == 0 else cur
+
+
+def lambda_coeff(n, level, j):
+    """Kernel coefficient lambda(n, level, j); exactly zero off support.
+
+    lambda(n, l, j) = int_{-1}^{1} t^{2l} P_j(t) (1 - t^2)^{(n-3)/2} dt, with
+    P_j the degree-j Gegenbauer polynomial with P_j(1) = 1, is the scalar
+    through which the kernel <x, y>^{2l} acts on degree-j harmonics
+    (Funk-Hecke):
+
+        int <x, y>^{2l} f_j(x) dx = (omega_{n-1} / omega_n)
+                                     lambda(n, l, j) f_j(y).
+
+    Support is even j with 0 <= j <= 2l, where the closed form is
+    sqrt(pi) 2^{-2l} Gamma((n-1)/2) Gamma(2l+1)
+        / (Gamma(l + 1 - j/2) Gamma(l + (n+j)/2)),
+    taken as differences of log-Gamma so no intermediate overflows;
+    arguments stay positive on the support.
+    """
+    if n < 2 or level < 0 or j < 0:
+        raise ValueError("need n >= 2, level >= 0, j >= 0")
+    if j % 2 != 0 or j > 2 * level:
+        return 0.0
+    log = (0.5 * math.log(math.pi)
+           - 2 * level * math.log(2.0)
+           + math.lgamma((n - 1) / 2.0)
+           + math.lgamma(2 * level + 1)
+           - math.lgamma(level + 1 - j / 2.0)
+           - math.lgamma(level + (n + j) / 2.0))
+    return math.exp(log)
 
 
 def lambda_ratio(n, level, j):
@@ -326,12 +367,12 @@ def sphere_monomial_moment(exponents):
     exps = exponent_tuple(exponents)
     if not exps:
         raise ValueError("need at least one variable")
-    return _moment_cached(len(exps), exps)
+    return _monomial_moment(len(exps), exps)
 
 
 def integrate_poly(T):
     """Exact integral of a homogeneous polynomial over the sphere."""
-    return float(sum(a * _moment_cached(T.n, mi)
+    return float(sum(a * _monomial_moment(T.n, mi)
                      for mi, a in T.coeffs.items()))
 
 
@@ -420,8 +461,9 @@ def funk_hecke_residual(f, level, y):
         ypow = float(np.prod(yv ** np.array(mi)))
         if ypow == 0.0:
             continue
-        inner = sum(a * _moment_cached(n, tuple(s + t for s, t in zip(mi, mj)))
-                    for mj, a in f.coeffs.items())
+        inner = sum(
+            a * _monomial_moment(n, tuple(s + t for s, t in zip(mi, mj)))
+            for mj, a in f.coeffs.items())
         lhs += multinom * ypow * inner
     rhs = (surface_area(n - 1) / surface_area(n)
            * lambda_coeff(n, level, f.degree) * f(yv))

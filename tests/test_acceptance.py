@@ -23,8 +23,7 @@ from scipy.integrate import quad
 from scipy.special import binom, eval_gegenbauer
 
 from sphereopt import cli
-from sphereopt.definetti import solve_and_report
-from sphereopt.harmonics import definetti_eps, lambda_coeff, surface_area
+from sphereopt.definetti import definetti_eps, solve_and_report
 from sphereopt.multiindex import basis_catalog, sym_dimension
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import homo_poly, vector_to_poly
@@ -33,9 +32,10 @@ from sphereopt.sdp import build_relaxation, solve_sdp
 
 from reference import (definetti_trace_check, dense_number_state,
                        funk_hecke_residual, harmonic_decompose,
-                       p_from_q_coefficients, poly_to_maxsym_matrix,
-                       quadratic_poly, random_msym_state,
-                       random_product_mixture, state_from_harmonic_density)
+                       lambda_coeff, p_from_q_coefficients,
+                       poly_to_maxsym_matrix, quadratic_poly,
+                       random_msym_state, random_product_mixture,
+                       state_from_harmonic_density, surface_area)
 
 
 def _announce(capsys, ok, name, detail):

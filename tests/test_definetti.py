@@ -4,17 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphereopt import harmonics
+from sphereopt import polymat
 from sphereopt.definetti import (BoundsReport, _chain_weights,
-                                 candidate_points, density_constant,
-                                 lower_bound, measure_density, reduced_state,
+                                 candidate_points, definetti_eps,
+                                 density_constant, lower_bound,
+                                 measure_density, reduced_state,
                                  solve_and_report)
-from sphereopt.harmonics import (definetti_eps, moment_table,
-                                 sphere_moment_vector)
 from sphereopt.multiindex import basis_catalog
 from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (MaxSymMatrix, _catalog_coeffs, _vec_scale,
-                               homo_poly, poly_to_vector, vector_to_poly)
+                               homo_poly, moment_table, poly_to_vector,
+                               sphere_moment_vector, vector_to_poly)
 from sphereopt.sdp import build_relaxation
 
 from reference import (_sum_index_map, definetti_trace_check, density_mass,
@@ -204,15 +204,15 @@ def test_lower_bound_is_equivariant_under_powers_of_two():
 
 
 def test_solve_and_report_tabulates_only_the_primal_start_moments():
-    harmonics.moment_table.cache_clear()
+    polymat.moment_table.cache_clear()
     T = vector_to_poly(10, 4, np.random.default_rng(13).standard_normal(
         len(basis_catalog(10, 4))))
     report, _ = solve_and_report(build_relaxation(T, 2))
     assert report.status == "optimal"
     # the one table is the degree-2l one: asking for it adds no entry
-    assert harmonics.moment_table.cache_info().currsize == 1
-    harmonics.moment_table(10, 4)
-    assert harmonics.moment_table.cache_info().currsize == 1
+    assert polymat.moment_table.cache_info().currsize == 1
+    polymat.moment_table(10, 4)
+    assert polymat.moment_table.cache_info().currsize == 1
 
 
 def test_moment_matrix_of_density_is_a_state():

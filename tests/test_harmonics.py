@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ import sympy
 from scipy import integrate
 from scipy.special import binom, eval_gegenbauer
 
-from sphereopt.harmonics import (definetti_eps, lambda_coeff, moment_table,
-                                 sphere_moment_vector, surface_area)
+from sphereopt.definetti import definetti_eps
 from sphereopt.multiindex import basis_catalog
-from sphereopt.polymat import homo_poly, vector_to_poly, _vec_scale
+from sphereopt.polymat import (MaxSymMatrix, _vec_scale, homo_poly,
+                               moment_table, sphere_moment_vector,
+                               vector_to_poly)
 
 from reference import (funk_hecke_residual, gegenbauer_eval, harmonic_count,
-                       harmonic_decompose, integrate_poly, lambda_ratio,
-                       laplacian, mc_sphere_integral_poly, r2k_poly,
-                       ratio_gap_bounds, sphere_monomial_moment)
+                       harmonic_decompose, integrate_poly, lambda_coeff,
+                       lambda_ratio, laplacian, mc_sphere_integral_poly,
+                       r2k_poly, ratio_gap_bounds, sphere_monomial_moment,
+                       surface_area)
 
 
 def _normalized_gegenbauer(j, n, t):
@@ -171,9 +174,19 @@ def test_integrate_poly_and_moment_table():
     assert integrate_poly(r2k_poly(3, 2)) == pytest.approx(1.0, rel=1e-14)
     T = homo_poly(3, 2, {(2, 0, 0): 3.0, (0, 2, 0): -1.0, (1, 1, 0): 5.0})
     assert integrate_poly(T) == pytest.approx(3.0 / 3 - 1.0 / 3, rel=1e-13)
-    table = moment_table(2, 4)
-    for pos, mi in enumerate(basis_catalog(2, 4).tolist()):
-        assert table[pos] == sphere_monomial_moment(mi)
+    # each table entry is the correctly rounded float of the exact ratio
+    # int x^{2b} dx = prod_t (2 b_t - 1)!! / prod_{k<|b|} (n + 2k), and
+    # zero for an odd exponent
+    for n in range(2, 6):
+        for degree in range(9):
+            table = moment_table(n, degree)
+            for pos, mi in enumerate(basis_catalog(n, degree).tolist()):
+                if any(e % 2 for e in mi):
+                    assert table[pos] == 0.0
+                    continue
+                num = math.prod(math.prod(range(e - 1, 0, -2)) for e in mi)
+                den = math.prod(n + 2 * k for k in range(degree // 2))
+                assert table[pos] == float(Fraction(num, den))
 
 
 def test_moments_match_monte_carlo():
@@ -187,9 +200,8 @@ def test_sphere_moment_vector_definition():
     n, degree = 3, 4
     got = sphere_moment_vector(n, degree)
     expect = _vec_scale(n, degree) * moment_table(n, degree)
-    assert np.allclose(got, expect, atol=1e-15)
+    assert np.array_equal(got, expect)
     # moment matrix of the uniform measure is strictly positive definite
-    from sphereopt.polymat import MaxSymMatrix
     M = MaxSymMatrix(3, 2, sphere_moment_vector(3, 4))
     assert M.trace() == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(M.matrix)[0] > 0.0

@@ -45,6 +45,15 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def test_every_exported_name_resolves_once():
+    # the scan above skips __init__.py, and import does not read __all__
+    import sphereopt
+    assert len(sphereopt.__all__) == len(set(sphereopt.__all__))
+    missing = [name for name in sphereopt.__all__
+               if not hasattr(sphereopt, name)]
+    assert missing == []
+
+
 # scipy subpackages the bound pipeline does not use; each costs import time
 # on every CLI call
 HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats",

@@ -48,6 +48,9 @@ def test_homo_poly_refuses_coefficients_that_are_not_finite():
     # a NaN term is refused even where a zero term beside it is dropped
     with pytest.raises(ValueError, match="must be finite"):
         homo_poly(2, 2, {(2, 0): 0.0, (0, 2): math.nan})
+    # an integer beyond the float range
+    with pytest.raises(ValueError, match="must be finite"):
+        homo_poly(2, 2, {(2, 0): 10**400})
 
 
 def test_homo_poly_arithmetic():

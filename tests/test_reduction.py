@@ -109,6 +109,9 @@ def test_homogenize_constant_and_validation():
     # finite terms whose padded sum overflows
     with pytest.raises(ValueError, match="finite"):
         canonicalize(2, {(2, 0): 1e308, (0, 0): 1e308}).original
+    # an integer beyond the float range
+    with pytest.raises(ValueError, match="finite"):
+        canonicalize(2, {(2, 0): 10**400})
 
 
 def test_canonicalize_sums_keys_naming_one_tuple_as_add_terms_does():
