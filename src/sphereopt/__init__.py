@@ -9,7 +9,7 @@ approximate the relaxation optimizer.  The gap between the two shrinks
 at an explicit o(1) rate in the level.
 """
 
-from .definetti import (BoundsReport, EpsBound, SphereMeasureDensity,
+from .definetti import (BoundsReport, EpsBound, SphereMeasureDensity, climb,
                         definetti_eps, density_constant, lower_bound,
                         measure_density, reduced_state, solve_and_report)
 from .multiindex import basis_catalog, sym_dimension
@@ -33,10 +33,10 @@ __all__ = [
     "ReductionRecord", "ResourceGuardError", "SdpProblem", "SdpSolution",
     "SolverError", "SphereMeasureDensity", "STATUS_MAX_ITERATIONS",
     "STATUS_NUMERICAL_FAILURE", "STATUS_OPTIMAL",
-    "basis_catalog", "build_relaxation", "canonicalize", "definetti_eps",
-    "density_constant", "evaluate", "extract_sos_certificate",
-    "gamma_factor", "gradient", "homo_poly", "lift_odd",
-    "lower_bound",
+    "basis_catalog", "build_relaxation", "canonicalize", "climb",
+    "definetti_eps", "density_constant", "evaluate",
+    "extract_sos_certificate", "gamma_factor", "gradient", "homo_poly",
+    "lift_odd", "lower_bound",
     "measure_density", "moment_table",
     "multiply_r2", "poly_to_vector", "pullback_bounds",
     "reduced_state", "solve_and_report", "solve_sdp", "sphere_maximize",

@@ -7,13 +7,8 @@ and a local-search comparison value.
 
 ``--level L`` and ``--level LO..HI`` solve the levels asked for, and the
 guards run on the deepest of them before anything is built.  Without
-``--level`` the level is adaptive: only the base level is guarded up
-front; the climb solves it, reads candidate maximizers off the optimal
-state, and stops once the value of the best one is within the solver's
-gap rule of the upper bound; otherwise it computes its top,
-:func:`choose_level`, and solves deeper levels up to it.  Its report
-adds the point's value to the lower bound, and the fields
-``density_lower``, ``maximizer``, ``window_closed`` and ``levels_solved``.
+``--level`` only the base level is guarded and built up front, and
+:func:`sphereopt.definetti.climb` solves from it.
 
 Output is deterministic: the same invocation produces byte-identical
 output in any shell (the guards read ``--max-p`` and fixed constants, no
@@ -31,20 +26,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
-import numpy as np
-
-from .definetti import candidate_points, solve_and_report
-from .oracle import DEFAULT_RESTARTS, DEFAULT_SEED, polish, sphere_maximize
-from .polymat import evaluate
-from .reduction import canonicalize, pullback_bounds, pullback_points
+from .definetti import climb, solve_and_report
+from .oracle import DEFAULT_RESTARTS, DEFAULT_SEED, sphere_maximize
+from .reduction import canonicalize, pullback_bounds
 from .sdp import (DEFAULT_MAX_ITERATIONS, DEFAULT_MAX_P, DEFAULT_TOL,
                   ResourceGuardError, SolverError, STATUS_OPTIMAL,
                   build_relaxation, check_level, check_solve_options,
-                  extract_sos_certificate, gap_closed, resolve_max_p)
+                  extract_sos_certificate, resolve_max_p)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -219,24 +210,6 @@ def _poly_str(terms, names):
     return " + ".join(parts) if parts else "0"
 
 
-def choose_level(n, a, max_p):
-    """Top of the automatic climb: the deepest level the guards accept.
-
-    Climbs from the base level a while :func:`sphereopt.sdp.check_level`
-    accepts the next level; raises ResourceGuardError when even the base
-    level is out of reach.  The CLI computes this level only once a solved
-    level of the climb leaves the window open.
-    """
-    check_level(n, a, max_p)
-    level = a
-    while True:
-        try:
-            check_level(n, level + 1, max_p)
-        except ResourceGuardError:
-            return level
-        level += 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sphereopt",
@@ -290,7 +263,7 @@ def _parse_level_spec(spec, a):
     return range(lo, hi + 1)
 
 
-def _report_payload(report, record, oracle_result, certificate, climb=None):
+def _report_payload(report, record, oracle_result, certificate):
     payload = {
         "n": report.n,
         "degree": report.degree,
@@ -298,10 +271,9 @@ def _report_payload(report, record, oracle_result, certificate, climb=None):
         "nu_upper": report.nu_upper,
         "nu_lower": report.nu_lower,
     }
-    if climb is not None:
-        # the point bound raises nu_lower; the density bound keeps its own
-        # field
-        payload.update(climb)
+    if report.levels_solved is not None:
+        payload.update((key, getattr(report, key)) for key in (
+            "density_lower", "maximizer", "window_closed", "levels_solved"))
     payload.update({
         "eps": report.eps,
         "eps_valid": report.eps_valid,
@@ -373,88 +345,6 @@ def _text_report(payload):
     return "".join(lines)
 
 
-def _solve(problem, record, args):
-    report, solution = solve_and_report(problem, tol=args.tol,
-                                        max_iterations=args.max_iterations)
-    return pullback_bounds(record, report), solution
-
-
-def _best_point(record, M, upper, tol):
-    """(value, point): the best original-sphere point an optimal state gives.
-
-    The candidates are the eigenvectors of the level-1 reduction of M
-    (:func:`sphereopt.definetti.candidate_points`), valued with the
-    original polynomial; they are polished by tangent ascent only when
-    none of them closes the window under ``upper``.
-    """
-    T = record.original
-    X = pullback_points(record, candidate_points(M))
-    values = evaluate(T, X)
-    if not gap_closed(upper - values.max(), upper, tol):
-        X, values = polish(T, X)
-    k = int(np.argmax(values))
-    return float(values[k]), [float(v) for v in X[k]]
-
-
-def _next_level(level, top):
-    """Double while a further doubling stays within top, then jump to top.
-
-    Solve time grows about as level^6 at n = 3, so the levels below the top
-    cost little beside it: from 2 to 19 the climb is 2, 4, 8, 19, by that
-    model 1.006 solves at 19 (plain doubling, 2, 4, 8, 16, 19, is 1.36).
-    """
-    return 2 * level if 4 * level <= top else top
-
-
-def _climb(problem, record, args, max_p):
-    """Solve from the base level up to the top until a point closes the window.
-
-    After each optimal solve, the best point read off the state gives the
-    lower bound T(point); the climb stops once it is within the solver's
-    gap rule of the upper bound, at a solve that is not optimal, at the
-    top, or at a level the guards or the padding refuse.  The top,
-    :func:`choose_level`, is computed only once a solved level leaves the
-    window open.  Returns the last level's (report, solution) and the
-    fields the climb adds to its payload, or, after a solve that is not
-    optimal, those of the optimal level with the least upper bound.
-    """
-    levels = []
-    value, point, closed, top, best = -math.inf, None, False, None, None
-    while True:
-        report, solution = _solve(problem, record, args)
-        levels.append(problem.ell)
-        if solution.status != STATUS_OPTIMAL:
-            if best is not None:
-                report, solution = best
-                closed = gap_closed(report.nu_upper - value,
-                                    report.nu_upper, args.tol)
-            break
-        if best is None or report.nu_upper < best[0].nu_upper:
-            best = report, solution
-        found = _best_point(record, solution.M_star, report.nu_upper,
-                            args.tol)
-        if found[0] > value:
-            value, point = found
-        closed = gap_closed(report.nu_upper - value, report.nu_upper,
-                            args.tol)
-        if closed:
-            break
-        if top is None:
-            top = choose_level(problem.n, problem.a, max_p)
-        if problem.ell == top:
-            break
-        try:
-            problem = build_relaxation(record.solve_target,
-                                       _next_level(problem.ell, top),
-                                       max_p=max_p)
-        except (ResourceGuardError, ValueError):
-            break
-    climb = {"nu_lower": max(report.nu_lower, value),
-             "density_lower": report.nu_lower, "maximizer": point,
-             "window_closed": closed, "levels_solved": levels}
-    return report, solution, climb
-
-
 def run(args, out=None, err=None):
     """Execute one CLI invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -489,8 +379,7 @@ def run(args, out=None, err=None):
         # Reading record.solve_target pads the terms to one degree, which
         # makes about as many terms as the base level has rows, so the
         # guards run first, on the deepest level asked for, and a bad
-        # range fails fast.  The automatic climb guards only its base
-        # level here; it builds the levels above, and computes its top, as
+        # range fails fast.  The climb builds the levels above its base as
         # it reaches them.
         if args.level is None:
             levels = [record.a]
@@ -519,17 +408,18 @@ def run(args, out=None, err=None):
         while problems:
             # popped, so a solved level's matrices are freed with its
             # solution
-            climb = None
             if args.level is None:
-                report, solution, climb = _climb(problems.pop(0), record,
-                                                 args, max_p)
+                report, solution = climb(record, problems.pop(0), args.tol,
+                                         args.max_iterations, max_p)
             else:
-                report, solution = _solve(problems.pop(0), record, args)
+                report, solution = solve_and_report(
+                    problems.pop(0), args.tol, args.max_iterations)
+                report = pullback_bounds(record, report)
             certificate = None
             if args.certificate and solution.status == STATUS_OPTIMAL:
                 certificate = extract_sos_certificate(solution)
             payload = _report_payload(report, record, oracle_result,
-                                      certificate, climb)
+                                      certificate)
             # rendered here, so a value JSON cannot carry exits before any
             # output
             if args.format == "json":

@@ -12,10 +12,10 @@ maximum.  Restart r starts from normalized standard normal draws of the
 standard library's ``random.Random``, seeded by (seed, r) alone, so a call
 loads no ``numpy.random``.
 
-The CLI's automatic level also runs the ascent (:func:`polish`) from the
-candidate maximizers it reads off an optimal relaxation state.  T at any
-unit point is a lower bound on the maximum, so that use needs no trust in
-the ascent.
+The climb (:func:`sphereopt.definetti.climb`) also runs the ascent
+(:func:`polish`) from the candidate maximizers it reads off an optimal
+relaxation state.  T at any unit point is a lower bound on the maximum,
+so that use needs no trust in the ascent.
 """
 
 from __future__ import annotations

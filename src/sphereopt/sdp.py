@@ -291,8 +291,8 @@ def check_level(n, level, max_p=None):
 def build_relaxation(T, level, max_p=None):
     """Assemble the level-``level`` relaxation for a homogeneous objective.
 
-    Requires n >= 2, even degree 2a >= 2, a nonzero objective and
-    level >= a.  Raises ResourceGuardError when :func:`check_level`
+    Requires n >= 2, even degree 2a >= 2, a nonzero objective and an
+    integer level >= a.  Raises ResourceGuardError when :func:`check_level`
     refuses the level, and ValueError when the objective padded by
     r^{2(level - a)} overflows a float.
     """
@@ -303,6 +303,8 @@ def build_relaxation(T, level, max_p=None):
     if T.degree % 2 != 0 or T.degree < 2:
         raise ValueError("objective degree must be even and at least two")
     a = T.degree // 2
+    if not float(level).is_integer():  # int() alone would truncate
+        raise ValueError(f"level must be an integer, got {level!r}")
     level = int(level)
     if level < a:
         raise ValueError(f"level must be at least {a} for degree {T.degree}")
@@ -504,6 +506,9 @@ def check_solve_options(tol, max_iterations):
     """Raise ValueError unless :func:`solve_sdp` accepts these settings."""
     if not 1e-10 <= tol <= 1e-2:
         raise ValueError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
+    if not float(max_iterations).is_integer():  # the budget test is ==
+        raise ValueError("the iteration budget must be an integer, got "
+                         f"{max_iterations!r}")
     if max_iterations < 1:
         raise ValueError("need a positive iteration budget, got "
                          f"{max_iterations}")

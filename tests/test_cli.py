@@ -14,8 +14,8 @@ import pytest
 
 from sphereopt import cli, definetti, oracle, polymat, reduction, sdp
 from sphereopt.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER,
-                           ParseError, choose_level, load_json_input, main,
-                           parse_poly)
+                           ParseError, load_json_input, main, parse_poly)
+from sphereopt.definetti import choose_level
 from sphereopt.polymat import homo_poly
 from sphereopt.sdp import ResourceGuardError, SolverError
 
@@ -163,38 +163,6 @@ def test_load_json_input_roundtrips_and_validates():
     for text in bad_cases:
         with pytest.raises(ValueError):
             load_json_input(io.StringIO(text))
-
-
-def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
-    # the conditioning floor caps n = 3 at 19, whatever the degree
-    assert choose_level(3, 1, 512) == 19
-    assert choose_level(3, 2, 512) == 19
-    assert choose_level(3, 2, 900) == 19
-    # a tight size guard binds before the conditioning floor
-    assert choose_level(3, 2, 50) == 8
-    assert choose_level(2, 2, 512) == 20
-    with pytest.raises(ResourceGuardError):
-        choose_level(33, 2, 512)
-    # with no floor the size guard binds: C(42, 2) = 861, C(43, 2) = 903
-    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.0)
-    assert choose_level(3, 2, 900) == 40
-    # a floor above the base level's conditioning refuses it, naming the
-    # ratio; one only the base level clears stops the climb there
-    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.9)
-    with pytest.raises(ResourceGuardError,
-                       match=r"level 2 has moment-body conditioning \d"):
-        choose_level(3, 2, 512)
-    assert choose_level(3, 1, 512) == 1
-
-
-def test_choose_level_builds_no_matrices(monkeypatch):
-    assert sdp.DEFAULT_MIN_COND_RATIO == 5e-6
-    # level 19 needs a 10660 x 10660 Schur workspace; with the memory guard
-    # off, the size guard and the conditioning floor alone set the top
-    monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
-    polymat._pair_maps.cache_clear()
-    assert choose_level(4, 2, 2000) == 19
-    assert polymat._pair_maps.cache_info().currsize == 0
 
 
 def test_run_text_output_and_determinism():
@@ -366,7 +334,8 @@ def _never(*args, **kwargs):
 
 
 def _forbid_solving(monkeypatch):
-    for name in ("build_relaxation", "solve_and_report", "sphere_maximize"):
+    for name in ("build_relaxation", "solve_and_report", "climb",
+                 "sphere_maximize"):
         monkeypatch.setattr(cli, name, _never)
 
 
@@ -462,7 +431,7 @@ def test_each_input_term_is_validated_once(monkeypatch, poly, level):
 def test_size_guard_fires_before_homogenization_pads(monkeypatch):
     _forbid_solving(monkeypatch)
     monkeypatch.setattr(reduction, "multiply_r2", _never)
-    monkeypatch.setattr(cli, "choose_level", _never)
+    monkeypatch.setattr(definetti, "choose_level", _never)
     # base level 50 in 5 variables: p = C(54, 4) = 316251
     code, out, err = _run(["--poly", "x1^100 + x2^2 + x3^2 + x4^2 + x5^2"])
     assert code == EXIT_RESOURCE
@@ -509,8 +478,7 @@ def test_one_build_per_solved_level(monkeypatch, level, builds):
         return sdp.build_relaxation(*args, **kwargs)
 
     monkeypatch.setattr(cli, "build_relaxation", counted)
-    monkeypatch.setattr(definetti, "build_relaxation", counted,
-                        raising=False)
+    monkeypatch.setattr(definetti, "build_relaxation", counted)
     argv = ["--poly", "x1^2*x2^2 + 0.5*x1^4 + x2^4"]
     if level is not None:
         argv += ["--level", level]
@@ -547,7 +515,7 @@ def test_numerical_failure_at_an_explicit_level_exits_3_with_its_report(
 
 def test_automatic_climb_with_no_optimal_level_exits_3(monkeypatch):
     monkeypatch.setattr(sdp, "_factor_schur", lambda S: None)
-    monkeypatch.setattr(cli, "candidate_points", _boom)
+    monkeypatch.setattr(definetti, "candidate_points", _boom)
     code, out, err = _run(["--poly", README_QUARTIC, "--n", "3",
                            "--format", "json"])
     assert code == EXIT_SOLVER and err == ""
@@ -560,7 +528,7 @@ def test_automatic_climb_with_no_optimal_level_exits_3(monkeypatch):
 def test_one_iteration_budget_default():
     # each default has one home, which the library and the CLI both read;
     # --max-p leaves None to resolve_max_p
-    solvers = (sdp.solve_sdp, definetti.solve_and_report)
+    solvers = (sdp.solve_sdp, definetti.solve_and_report, definetti.climb)
     homes = {
         "max_iterations": (sdp.DEFAULT_MAX_ITERATIONS, 120, solvers),
         "tol": (sdp.DEFAULT_TOL, 1e-8, solvers),
@@ -631,7 +599,7 @@ def _run_json(argv):
 
 
 def test_unconverged_auto_solve_neither_extracts_nor_climbs(monkeypatch):
-    monkeypatch.setattr(cli, "candidate_points", _boom)
+    monkeypatch.setattr(definetti, "candidate_points", _boom)
     monkeypatch.setattr(oracle, "_ascend", _boom)
     levels = []
 
@@ -640,6 +608,7 @@ def test_unconverged_auto_solve_neither_extracts_nor_climbs(monkeypatch):
         return sdp.build_relaxation(T, level, **kwargs)
 
     monkeypatch.setattr(cli, "build_relaxation", counted)
+    monkeypatch.setattr(definetti, "build_relaxation", counted)
     code, payload = _run_json(["--poly", README_QUARTIC, "--n", "3",
                                "--max-iterations", "1"])
     assert code == EXIT_SOLVER
@@ -653,7 +622,7 @@ def test_unconverged_auto_solve_neither_extracts_nor_climbs(monkeypatch):
 
 @pytest.mark.parametrize("level, count", [("2", 1), ("2..4", 3)])
 def test_explicit_levels_never_extract(monkeypatch, level, count):
-    monkeypatch.setattr(cli, "candidate_points", _boom)
+    monkeypatch.setattr(definetti, "candidate_points", _boom)
     monkeypatch.setattr(oracle, "_ascend", _boom)
     code, out, _ = _run(["--poly", README_QUARTIC, "--level", level,
                          "--format", "json"])
@@ -698,7 +667,7 @@ def test_auto_level_polishes_eigenvectors_between_two_maximizers(
         polished.append(len(X))
         return oracle.polish(T, X)
 
-    monkeypatch.setattr(cli, "polish", spy)
+    monkeypatch.setattr(definetti, "polish", spy)
     code, payload = _run_json(["--poly", expr, "--oracle"])
     assert code == EXIT_OK
     assert polished == [2]
@@ -716,7 +685,7 @@ def test_auto_level_climbs_past_an_inexact_base_level(monkeypatch):
         tops.append(args)
         return choose_level(*args)
 
-    monkeypatch.setattr(cli, "choose_level", counted)
+    monkeypatch.setattr(definetti, "choose_level", counted)
     code, payload = _run_json(["--poly", NEG_MOTZKIN])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [3, 6] and payload["level"] == 6
@@ -731,13 +700,15 @@ def test_climb_reports_the_optimal_level_when_a_deeper_one_fails(
         monkeypatch):
     # -Motzkin's level 3 is optimal with its window open; level 6 stops
     # after one iteration, so the report is level 3's and the exit is 0
+    solve_and_report = definetti.solve_and_report
+
     def starved(problem, tol, max_iterations):
         if problem.ell == 6:
             max_iterations = 1
-        return definetti.solve_and_report(problem, tol=tol,
-                                          max_iterations=max_iterations)
+        return solve_and_report(problem, tol=tol,
+                                max_iterations=max_iterations)
 
-    monkeypatch.setattr(cli, "solve_and_report", starved)
+    monkeypatch.setattr(definetti, "solve_and_report", starved)
     code, payload = _run_json(["--poly", NEG_MOTZKIN, "--certificate"])
     assert code == EXIT_OK
     assert payload["level"] == 3 and payload["levels_solved"] == [3, 6]
@@ -763,27 +734,6 @@ def test_auto_level_lifted_maximizer_in_original_variables():
     assert payload["nu_lower"] == pytest.approx(value, rel=1e-14)
     assert payload["nu_lower"] <= 1.0 <= payload["nu_upper"]
     assert payload["density_lower"] < payload["nu_lower"]
-
-
-def test_climb_schedule():
-    def schedule(a, top):
-        levels = [a]
-        while levels[-1] < top:
-            levels.append(cli._next_level(levels[-1], top))
-        return levels
-
-    assert schedule(2, 19) == [2, 4, 8, 19]
-    assert schedule(3, 19) == [3, 6, 19]
-    assert schedule(2, 20) == [2, 4, 8, 20]
-    assert schedule(1, 5) == [1, 2, 5]
-    assert schedule(2, 2) == [2]
-    # with solve time ~ level^6, the levels a climb that never closes
-    # solves between the base level and the top cost at most a tenth of
-    # the top level's solve
-    for a in range(1, 6):
-        for top in range(a, 64):
-            between = schedule(a, top)[1:-1]
-            assert sum((lv / top) ** 6 for lv in between) <= 0.1
 
 
 def _refuse_constant(name):
@@ -818,7 +768,7 @@ def test_module_entry_point_smoke():
 
 
 def test_climb_without_closure_solves_the_schedule(monkeypatch):
-    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
+    monkeypatch.setattr(definetti, "gap_closed", lambda *args: False)
     code, payload = _run_json(["--poly", README_QUARTIC])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4, 8, 20]
@@ -844,7 +794,7 @@ def _deep_quartic(tmp_path):
 def test_deep_quartic_without_closure_solves_the_schedule(monkeypatch,
                                                           tmp_path):
     # the level-19 benchmark quartic: the climb that never closes
-    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
+    monkeypatch.setattr(definetti, "gap_closed", lambda *args: False)
     code, payload = _run_json(["--input", _deep_quartic(tmp_path)])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4, 8, 19]
@@ -856,7 +806,7 @@ def test_climb_top_is_not_computed_when_the_base_level_closes(monkeypatch,
     def refused(*args, **kwargs):
         raise AssertionError("the base level closes: no top is needed")
 
-    monkeypatch.setattr(cli, "choose_level", refused)
+    monkeypatch.setattr(definetti, "choose_level", refused)
     code, payload = _run_json(["--input", _deep_quartic(tmp_path)])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2] and payload["window_closed"]
@@ -905,14 +855,14 @@ def test_non_finite_schur_right_hand_side_exits_3_without_output(
 @pytest.mark.parametrize("error", [ResourceGuardError, ValueError])
 def test_build_refused_mid_climb_reports_last_solved_level(monkeypatch,
                                                            error):
-    monkeypatch.setattr(cli, "gap_closed", lambda *args: False)
+    monkeypatch.setattr(definetti, "gap_closed", lambda *args: False)
 
     def refusing(T, level, **kwargs):
         if level > 4:
             raise error(f"level {level} refused")
         return sdp.build_relaxation(T, level, **kwargs)
 
-    monkeypatch.setattr(cli, "build_relaxation", refusing)
+    monkeypatch.setattr(definetti, "build_relaxation", refusing)
     code, payload = _run_json(["--poly", README_QUARTIC])
     assert code == EXIT_OK
     assert payload["levels_solved"] == [2, 4] and payload["level"] == 4
@@ -999,6 +949,22 @@ def test_json_is_strict_and_exact(poly, level):
             coeffs = [float(part.split("*")[0])
                       for part in body[:-len(")^2")].split(" + ")]
             assert coeffs == [t["coeff"] for t in square["terms"]]
+
+
+@pytest.mark.parametrize("poly, levels", [
+    (README_QUARTIC, [2]), (NEG_MOTZKIN, [3, 6]), ("x1^2*x2 - x3^3", [2]),
+    ("x1^4 - 3*x1^2*x2^2 + 0.5*x3^2 + 2", [2])],
+    ids=["quartic", "neg-motzkin", "lifted-cubic", "mixed-degree"])
+def test_library_climb_gives_the_cli_answer(capsys, poly, levels):
+    assert main(["--poly", poly, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    record = reduction.canonicalize(*parse_poly(poly))
+    report, _ = definetti.climb(
+        record, sdp.build_relaxation(record.solve_target, record.a))
+    assert report.levels_solved == levels
+    for key in ("level", "nu_upper", "nu_lower", "density_lower",
+                "maximizer", "window_closed", "levels_solved"):
+        assert getattr(report, key) == payload[key], key
 
 
 def test_value_json_cannot_carry_exits_before_any_output(monkeypatch):

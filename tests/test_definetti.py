@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphereopt import polymat
-from sphereopt.definetti import (BoundsReport, _chain_weights,
-                                 candidate_points, definetti_eps,
-                                 density_constant, lower_bound,
+from sphereopt import polymat, sdp
+from sphereopt.definetti import (BoundsReport, _chain_weights, _next_level,
+                                 candidate_points, choose_level,
+                                 definetti_eps, density_constant, lower_bound,
                                  measure_density, reduced_state,
                                  solve_and_report)
 from sphereopt.multiindex import basis_catalog
@@ -15,7 +15,7 @@ from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (MaxSymMatrix, _catalog_coeffs, _vec_scale,
                                homo_poly, moment_table, poly_to_vector,
                                sphere_moment_vector, vector_to_poly)
-from sphereopt.sdp import build_relaxation
+from sphereopt.sdp import ResourceGuardError, build_relaxation
 
 from reference import (_sum_index_map, definetti_trace_check, density_mass,
                        f1_distance_lower_estimate, harmonic_decompose,
@@ -409,6 +409,59 @@ def test_solve_and_report_certifies_two_sided_bounds():
         build_relaxation(homo_poly(3, 4, {(2, 2, 0): 1.0}), 3))
     assert isinstance(report, BoundsReport)
     assert report.nu_lower <= 0.25 <= report.nu_upper + 1e-8
+
+
+def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
+    # the conditioning floor caps n = 3 at 19, whatever the degree
+    assert choose_level(3, 1, 512) == 19
+    assert choose_level(3, 2, 512) == 19
+    assert choose_level(3, 2, 900) == 19
+    # a tight size guard binds before the conditioning floor
+    assert choose_level(3, 2, 50) == 8
+    assert choose_level(2, 2, 512) == 20
+    with pytest.raises(ResourceGuardError):
+        choose_level(33, 2, 512)
+    # with no floor the size guard binds: C(42, 2) = 861, C(43, 2) = 903
+    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.0)
+    assert choose_level(3, 2, 900) == 40
+    # a floor above the base level's conditioning refuses it, naming the
+    # ratio; one only the base level clears stops the climb there
+    monkeypatch.setattr(sdp, "DEFAULT_MIN_COND_RATIO", 0.9)
+    with pytest.raises(ResourceGuardError,
+                       match=r"level 2 has moment-body conditioning \d"):
+        choose_level(3, 2, 512)
+    assert choose_level(3, 1, 512) == 1
+
+
+def test_choose_level_builds_no_matrices(monkeypatch):
+    assert sdp.DEFAULT_MIN_COND_RATIO == 5e-6
+    # level 19 needs a 10660 x 10660 Schur workspace; with the memory guard
+    # off, the size guard and the conditioning floor alone set the top
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: None)
+    polymat._pair_maps.cache_clear()
+    assert choose_level(4, 2, 2000) == 19
+    assert polymat._pair_maps.cache_info().currsize == 0
+
+
+def test_climb_schedule():
+    def schedule(a, top):
+        levels = [a]
+        while levels[-1] < top:
+            levels.append(_next_level(levels[-1], top))
+        return levels
+
+    assert schedule(2, 19) == [2, 4, 8, 19]
+    assert schedule(3, 19) == [3, 6, 19]
+    assert schedule(2, 20) == [2, 4, 8, 20]
+    assert schedule(1, 5) == [1, 2, 5]
+    assert schedule(2, 2) == [2]
+    # with solve time ~ level^6, the levels a climb that never closes
+    # solves between the base level and the top cost at most a tenth of
+    # the top level's solve
+    for a in range(1, 6):
+        for top in range(a, 64):
+            between = schedule(a, top)[1:-1]
+            assert sum((lv / top) ** 6 for lv in between) <= 0.1
 
 
 def test_trace_distance_definition():

@@ -45,6 +45,8 @@ def test_build_relaxation_shapes_and_guards():
     assert prob.objective.shape == (prob.q,)
     with pytest.raises(ValueError):
         build_relaxation(T, 1)  # level below half the degree
+    with pytest.raises(ValueError, match="integer"):
+        build_relaxation(T, 2.9)  # not truncated to level 2
     with pytest.raises(ValueError):
         build_relaxation(homo_poly(3, 3, {(1, 1, 1): 1.0}), 3)  # odd degree
     with pytest.raises(ValueError):
@@ -669,6 +671,8 @@ def test_solver_validates_inputs_and_budget():
         solve_sdp(prob, tol=1e-12)
     with pytest.raises(ValueError):
         solve_sdp(prob, max_iterations=0)
+    with pytest.raises(ValueError, match="integer"):
+        solve_sdp(prob, max_iterations=1.5)  # never equals the count
     short = solve_sdp(prob, max_iterations=2)
     assert short.status == STATUS_MAX_ITERATIONS
     assert short.iterations == 2
