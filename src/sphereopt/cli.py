@@ -232,7 +232,7 @@ def _build_parser():
                         default=DEFAULT_MAX_ITERATIONS,
                         help="interior-point iteration budget (default "
                              f"{DEFAULT_MAX_ITERATIONS})")
-    parser.add_argument("--max-p", type=int, default=None,
+    parser.add_argument("--max-p", type=int, default=DEFAULT_MAX_P,
                         help="matrix-side resource guard (default "
                              f"{DEFAULT_MAX_P})")
     parser.add_argument("--oracle", action="store_true",
@@ -410,7 +410,7 @@ def run(args, out=None, err=None):
             # solution
             if args.level is None:
                 report, solution = climb(record, problems.pop(0), args.tol,
-                                         args.max_iterations, max_p)
+                                         args.max_iterations)
             else:
                 report, solution = solve_and_report(
                     problems.pop(0), args.tol, args.max_iterations)

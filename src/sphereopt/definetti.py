@@ -115,18 +115,17 @@ class SphereMeasureDensity:
         return evaluate(self.poly, x)
 
 
-def measure_density(M, psd_tol=1e-7):
+def measure_density(M):
     """Probability density induced by a maximally symmetric state.
 
-    Validates unit trace and positive semidefiniteness up to ``psd_tol``
-    (relative to the top eigenvalue), since a slightly indefinite input
-    would produce a signed density rather than a measure.
+    Validates unit trace, and positive semidefiniteness up to 1e-6 of the
+    top eigenvalue, since a more indefinite state gives a signed density.
     """
     tr = M.trace()
     if abs(tr - 1.0) > 1e-8 * max(1.0, abs(tr)):
         raise ValueError(f"state must have unit trace, got {tr!r}")
     eig = np.linalg.eigvalsh(M.matrix)
-    if eig[0] < -psd_tol * max(float(eig[-1]), 1e-300):
+    if eig[0] < -1e-6 * max(float(eig[-1]), 1e-300):
         raise ValueError("state must be positive semidefinite, "
                          f"lowest eigenvalue {eig[0]:.3e}")
     return SphereMeasureDensity(state=M,
@@ -258,7 +257,7 @@ def solve_and_report(problem, tol=DEFAULT_TOL,
     T, level = problem.target, problem.ell
     # Interior-point iterates stay strictly feasible, so the optimizer is
     # a valid state even when the solve stops early.
-    density = measure_density(solution.M_star, psd_tol=1e-6)
+    density = measure_density(solution.M_star)
     eps = definetti_eps(problem.a, level, T.n)
     report = BoundsReport(n=T.n, degree=T.degree, level=level,
                           nu_upper=solution.t_star,
@@ -313,21 +312,23 @@ def _next_level(level, top):
 
 
 def climb(record, problem, tol=DEFAULT_TOL,
-          max_iterations=DEFAULT_MAX_ITERATIONS, max_p=None):
+          max_iterations=DEFAULT_MAX_ITERATIONS):
     """Solve from ``problem`` up to the top until a point closes the window.
 
-    ``problem`` is built on ``record.solve_target`` (see
-    :func:`sphereopt.reduction.canonicalize`).  After each optimal solve,
-    the best point read off the state gives the lower bound T(point); the
-    climb stops once it is within the solver's gap rule of the upper
-    bound, at a solve that is not optimal, at the top (computed only
-    then), or at a level the guards or the padding refuse.  Returns the
-    last level's (report, solution) in the original variables, or, after
-    a solve that is not optimal, those of the optimal level with the least
-    upper bound.
+    ``problem`` must be built on ``record.solve_target`` (see
+    :func:`sphereopt.reduction.canonicalize`), else ValueError before any
+    solve; deeper levels keep its guard ``problem.max_p``.  After each optimal
+    solve, the best point read off the state gives the lower bound T(point);
+    the climb stops once it is within the solver's gap rule of the upper bound,
+    at a solve that is not optimal, at the top (computed only then; the guards
+    only tighten with the level, so it is never below the start), or at a level
+    that cannot be built.  Returns the last level's (report, solution) in the
+    original variables, or, after a solve that is not optimal, those of the
+    optimal level with the least upper bound.
     """
-    levels = []
-    value, point, closed, top, best = -math.inf, None, False, None, None
+    if problem.target != record.solve_target:
+        raise ValueError("the problem must be built on record.solve_target")
+    levels, value, point, top, best = [], -math.inf, None, None, None
     while True:
         report, solution = solve_and_report(problem, tol=tol,
                                             max_iterations=max_iterations)
@@ -336,27 +337,26 @@ def climb(record, problem, tol=DEFAULT_TOL,
         if solution.status != STATUS_OPTIMAL:
             if best is not None:
                 report, solution = best
-                closed = gap_closed(report.nu_upper - value,
-                                    report.nu_upper, tol)
             break
         if best is None or report.nu_upper < best[0].nu_upper:
             best = report, solution
         found = _best_point(record, solution.M_star, report.nu_upper, tol)
         if found[0] > value:
             value, point = found
-        closed = gap_closed(report.nu_upper - value, report.nu_upper, tol)
-        if closed:
+        if gap_closed(report.nu_upper - value, report.nu_upper, tol):
             break
         if top is None:
-            top = choose_level(problem.n, problem.a, max_p)
+            top = choose_level(problem.n, problem.a, problem.max_p)
         if problem.ell == top:
             break
         try:
             problem = build_relaxation(record.solve_target,
                                        _next_level(problem.ell, top),
-                                       max_p=max_p)
+                                       max_p=problem.max_p)
         except (ResourceGuardError, ValueError):
             break
+    closed = best is not None and gap_closed(report.nu_upper - value,
+                                             report.nu_upper, tol)
     # the point bound raises nu_lower; the density bound keeps its own field
     report = dataclasses.replace(
         report, nu_lower=max(report.nu_lower, value),

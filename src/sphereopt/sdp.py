@@ -146,10 +146,10 @@ class ResourceGuardError(RuntimeError):
     """A requested problem exceeds the configured size guard."""
 
 
-def resolve_max_p(max_p=None):
-    """Size guard: ``max_p`` (``--max-p``), or ``DEFAULT_MAX_P`` if None."""
-    if max_p is None:
-        return DEFAULT_MAX_P
+def resolve_max_p(max_p=DEFAULT_MAX_P):
+    """Size guard ``max_p`` (``--max-p``) as an int; it must be one >= 1."""
+    if not float(max_p).is_integer():  # int() alone would truncate
+        raise ValueError(f"max_p (--max-p) must be an integer, got {max_p!r}")
     cap = int(max_p)
     if cap < 1:
         raise ValueError(f"max_p (--max-p) must be at least 1, got {cap}")
@@ -206,7 +206,8 @@ class SdpProblem:
     tr M(y) = tau . y.  What depends on (n, l) alone, the class maps
     (``polymat._pair_maps``) and their class-sorted layout for the Schur
     assembly (``polymat._schur_layout``), is cached per shape and shared
-    by every problem of that shape.
+    by every problem of that shape.  ``max_p`` is the size guard the
+    problem was built under; :func:`sphereopt.definetti.climb` keeps it.
     """
 
     n: int
@@ -217,6 +218,7 @@ class SdpProblem:
     tau: np.ndarray
     p: int
     q: int
+    max_p: int
 
     def moment_matrix(self, y):
         """M(y): the maximally symmetric matrix with vec coordinates y."""
@@ -252,7 +254,7 @@ class SdpProblem:
         return t0, t0 * np.eye(self.p) - Zt
 
 
-def check_level(n, level, max_p=None):
+def check_level(n, level, max_p=DEFAULT_MAX_P):
     """Raise ResourceGuardError unless the level is affordable in n variables.
 
     The matrix side p = C(level + n - 1, level) must stay within the size
@@ -288,13 +290,13 @@ def check_level(n, level, max_p=None):
             f"double-precision solves")
 
 
-def build_relaxation(T, level, max_p=None):
+def build_relaxation(T, level, max_p=DEFAULT_MAX_P):
     """Assemble the level-``level`` relaxation for a homogeneous objective.
 
-    Requires n >= 2, even degree 2a >= 2, a nonzero objective and an
-    integer level >= a.  Raises ResourceGuardError when :func:`check_level`
-    refuses the level, and ValueError when the objective padded by
-    r^{2(level - a)} overflows a float.
+    Requires n >= 2, even degree 2a >= 2, a nonzero objective and integers
+    level >= a and ``max_p`` >= 1, the guard the problem keeps.  Raises
+    ResourceGuardError when :func:`check_level` refuses the level, and
+    ValueError when the objective padded by r^{2(level - a)} overflows.
     """
     if T.n < 2:
         raise ValueError("sphere optimization needs at least two variables")
@@ -317,7 +319,7 @@ def build_relaxation(T, level, max_p=None):
     _, _, tau = _pair_maps(T.n, level)
     return SdpProblem(n=T.n, a=a, ell=level, target=T, objective=c,
                       tau=np.array(tau), p=sym_dimension(T.n, level),
-                      q=sym_dimension(T.n, 2 * level))
+                      q=sym_dimension(T.n, 2 * level), max_p=int(max_p))
 
 
 @dataclass(frozen=True, eq=False)

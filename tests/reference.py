@@ -617,7 +617,7 @@ class TraceCheck(NamedTuple):
     satisfied: bool
 
 
-def definetti_trace_check(M, a, psd_tol=1e-7):
+def definetti_trace_check(M, a):
     """Compare reduction and measure reconstruction in trace norm.
 
     The distance between the physical reduction of M to level a and the
@@ -628,14 +628,13 @@ def definetti_trace_check(M, a, psd_tol=1e-7):
         raise ValueError("need 1 <= a < ell")
     dist = trace_distance(
         reduced_state(M, a),
-        moment_matrix_of_density(measure_density(M, psd_tol), a))
+        moment_matrix_of_density(measure_density(M), a))
     bound = 2.0 * a * a * (a + M.n / 2.0 - 1.0) / (2 * M.ell + M.n)
     return TraceCheck(distance=dist, bound=bound,
                       satisfied=dist <= bound * (1 + 1e-9))
 
 
-def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8,
-                               psd_tol=1e-7):
+def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8):
     """Estimate from below the polynomial-pairing distance at level a.
 
     Samples random level-a test polynomials F, pairs them against the
@@ -647,7 +646,7 @@ def f1_distance_lower_estimate(M, a, trials=16, seed=0, restarts=8,
     if trials < 1:
         raise ValueError("need at least one trial")
     diff = (reduced_state(M, a).vec
-            - moment_matrix_of_density(measure_density(M, psd_tol), a).vec)
+            - moment_matrix_of_density(measure_density(M), a).vec)
     cat = basis_catalog(M.n, 2 * a)
     best = 0.0
     for r in range(trials):

@@ -175,7 +175,7 @@ def test_04_reduction_vs_measure_trace_bound(capsys):
                     states.append(sol.M_star)
             for a in (1, 2):
                 for M in states:
-                    chk = definetti_trace_check(M, a, psd_tol=1e-6)
+                    chk = definetti_trace_check(M, a)
                     trials += 1
                     worst_ratio = max(worst_ratio,
                                       chk.distance / chk.bound)

@@ -526,15 +526,16 @@ def test_automatic_climb_with_no_optimal_level_exits_3(monkeypatch):
 
 
 def test_one_iteration_budget_default():
-    # each default has one home, which the library and the CLI both read;
-    # --max-p leaves None to resolve_max_p
+    # each default has one home, which the library and the CLI both read
     solvers = (sdp.solve_sdp, definetti.solve_and_report, definetti.climb)
     homes = {
         "max_iterations": (sdp.DEFAULT_MAX_ITERATIONS, 120, solvers),
         "tol": (sdp.DEFAULT_TOL, 1e-8, solvers),
         "restarts": (oracle.DEFAULT_RESTARTS, 32, (oracle.sphere_maximize,)),
         "seed": (oracle.DEFAULT_SEED, 0, (oracle.sphere_maximize,)),
-        "max_p": (sdp.DEFAULT_MAX_P, 512, ()),
+        "max_p": (sdp.DEFAULT_MAX_P, 512, (sdp.check_level,
+                                           sdp.build_relaxation,
+                                           sdp.resolve_max_p)),
     }
     options = {action.dest: action
                for action in cli._build_parser()._actions}
@@ -545,11 +546,7 @@ def test_one_iteration_budget_default():
                 dest].default == default
         option = options[dest]
         assert option.help.endswith(f"(default {default})")
-        if dest == "max_p":
-            assert option.default is None
-            assert sdp.resolve_max_p(option.default) == default
-        else:
-            assert option.default == default
+        assert option.default == default
 
 
 def test_exit_code_on_solver_exception(monkeypatch):

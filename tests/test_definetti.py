@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphereopt import polymat, sdp
+from sphereopt import definetti, polymat, sdp
 from sphereopt.definetti import (BoundsReport, _chain_weights, _next_level,
-                                 candidate_points, choose_level,
+                                 candidate_points, choose_level, climb,
                                  definetti_eps, density_constant, lower_bound,
                                  measure_density, reduced_state,
                                  solve_and_report)
@@ -15,6 +15,7 @@ from sphereopt.oracle import sphere_maximize
 from sphereopt.polymat import (MaxSymMatrix, _catalog_coeffs, _vec_scale,
                                homo_poly, moment_table, poly_to_vector,
                                sphere_moment_vector, vector_to_poly)
+from sphereopt.reduction import canonicalize
 from sphereopt.sdp import ResourceGuardError, build_relaxation
 
 from reference import (_sum_index_map, definetti_trace_check, density_mass,
@@ -76,7 +77,6 @@ def test_measure_density_validates_state():
     bad = MaxSymMatrix(3, 2, 2.0 * u - product_state_vec(x, 2))
     with pytest.raises(ValueError, match="semidefinite"):
         measure_density(bad)
-    measure_density(bad, psd_tol=2.0)  # loose tolerance lets it through
 
 
 def _dict_route_lower_bound(T, poly):
@@ -418,6 +418,7 @@ def test_choose_level_is_the_deepest_guarded_level(monkeypatch):
     assert choose_level(3, 2, 900) == 19
     # a tight size guard binds before the conditioning floor
     assert choose_level(3, 2, 50) == 8
+    assert choose_level(3, 2, 10) == 3  # p = 10 at level 3: p == max_p
     assert choose_level(2, 2, 512) == 20
     with pytest.raises(ResourceGuardError):
         choose_level(33, 2, 512)
@@ -462,6 +463,29 @@ def test_climb_schedule():
         for top in range(a, 64):
             between = schedule(a, top)[1:-1]
             assert sum((lv / top) ** 6 for lv in between) <= 0.1
+
+
+def test_climb_refuses_a_problem_built_on_another_polynomial(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the mismatch must be refused before any solve")
+
+    monkeypatch.setattr(definetti, "solve_and_report", never)
+    record = canonicalize(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -3.0})
+    other = canonicalize(2, {(4, 0): 0.1, (0, 4): 0.1})
+    with pytest.raises(ValueError, match="solve_target"):
+        climb(record, build_relaxation(other.solve_target, 2))
+
+
+def test_climb_keeps_the_guard_of_its_start(monkeypatch):
+    # three variables have p = C(7, 5) = 21 at level 5 and C(8, 6) = 28 at
+    # level 6: under the start's guard 21 the start is the top
+    monkeypatch.setattr(definetti, "gap_closed", lambda *args: False)
+    record = canonicalize(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0,
+                              (2, 2, 0): -3.0, (0, 0, 4): 0.5})
+    report, _ = climb(record,
+                      build_relaxation(record.solve_target, 5, max_p=21))
+    assert report.levels_solved == [5] and report.level == 5
+    assert report.window_closed is False
 
 
 def test_trace_distance_definition():

@@ -43,10 +43,16 @@ def test_build_relaxation_shapes_and_guards():
     assert prob.p == sym_dimension(3, 3)
     assert prob.q == sym_dimension(3, 6)
     assert prob.objective.shape == (prob.q,)
+    # p = C(5, 3) = 10 at level 3: a guard of exactly p admits the level
+    assert prob.max_p == 512 and build_relaxation(T, 3, max_p=10).max_p == 10
+    with pytest.raises(ResourceGuardError, match="side 10, above the guard 9"):
+        build_relaxation(T, 3, max_p=9)
     with pytest.raises(ValueError):
         build_relaxation(T, 1)  # level below half the degree
     with pytest.raises(ValueError, match="integer"):
         build_relaxation(T, 2.9)  # not truncated to level 2
+    with pytest.raises(ValueError, match="max_p .* integer"):
+        build_relaxation(T, 2, max_p=2.9)  # nor to the guard 2
     with pytest.raises(ValueError):
         build_relaxation(homo_poly(3, 3, {(1, 1, 1): 1.0}), 3)  # odd degree
     with pytest.raises(ValueError):
@@ -79,6 +85,13 @@ def test_resolve_max_p_env_override():
         with pytest.raises(ValueError, match="max_p") as info:
             resolve_max_p(bad)
         assert "--max-p" in str(info.value)
+    # nor is a guard truncated, and None is no guard
+    for refuse in (lambda: resolve_max_p(2.9), lambda: check_level(3, 2, 2.9)):
+        with pytest.raises(ValueError, match="max_p .* integer"):
+            refuse()
+    with pytest.raises(TypeError):
+        resolve_max_p(None)
+    assert resolve_max_p(np.int64(10)) == resolve_max_p(10.0) == 10
 
 
 def test_conditioning_guard(monkeypatch):
